@@ -49,7 +49,7 @@ from .analytic import (
     strong_user_tail,
     event_probabilities_closed,
 )
-from .quadrature import p_event_quadrature, event_probabilities_quadrature
+from .quadrature import event_probabilities_quadrature
 from .montecarlo import (
     McConfig,
     AverageRates,

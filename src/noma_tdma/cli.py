@@ -17,7 +17,6 @@ import sys
 
 from . import __version__, analytic, montecarlo, quadrature, validation
 from .analytic import ConvergenceError
-from .events import EventId
 from .montecarlo import McConfig, RNG_SCHEME
 from .order_stats import PairingConfig
 from .regions import (
@@ -95,7 +94,7 @@ def _resolve_a2(mode: str, rho: float) -> float:
         return analytic.optimal_a2_special(rho)
     if mode.startswith("fixed:"):
         return float(mode.split(":", 1)[1])
-    raise argparse.ArgumentTypeError(
+    raise ValueError(
         f"a2 mode must be fixed:<value>, inv_sqrt_rho, or special, got {mode!r}")
 
 
@@ -175,8 +174,8 @@ def cmd_sweep_n(args: argparse.Namespace) -> int:
             if method == "closed":
                 p2, se = analytic.p_eps2_closed(cfg, a2), ""
             elif method == "quadrature":
-                p2, se = quadrature.p_event_quadrature(
-                    EventId.E2, cfg, a2, args.b2, args.quad_tol), ""
+                p2, se = quadrature.event_probabilities_quadrature(
+                    cfg, a2, args.b2, args.quad_tol).p2, ""
             else:
                 est = montecarlo.estimate_event_probs(
                     cfg, a2, args.b2,

@@ -13,18 +13,22 @@ bisection on the (black-box) classifier and each labelled segment is
 integrated exactly via the regularized incomplete beta function.  The outer
 u-integral is then done with adaptive Gauss-Legendre panels refined near the
 kinks the event boundaries induce.
+
+Every u-column of one refinement step is classified together: one
+classifier call on the (columns x probes) grid, then one call per bisection
+iteration over the brackets of all columns.  A solve therefore costs
+1 + _BISECT_ITERS classifier calls per step, whatever the number of columns.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc, beta as beta_fn
 
 from .analytic import ConvergenceError, EventProbabilities
-from .events import EventId, classify_many
+from .events import classify_many
 from .order_stats import PairingConfig
 
 _BISECT_ITERS = 60   # enough to pin a boundary to ~1e-18 in s
@@ -43,51 +47,73 @@ def _s_probe_grid() -> np.ndarray:
 _SPROBES = _s_probe_grid()
 
 
-def _column_masses(u: float, cfg: PairingConfig, a2: float, b2: float) -> np.ndarray:
-    """Integrate s^(M-n)(1-s)^(n-1-m) over each event's share of s in (0,1)."""
-    M, m, n, rho = cfg.M, cfg.m, cfg.n, cfg.rho
-    x = -rho * math.log(u)
-    a_b, b_b = M - n + 1, n - m  # beta parameters of the s-factor
+def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
+                   b2: float) -> np.ndarray:
+    """Row c integrates s^(M-n)(1-s)^(n-1-m) over each event's share of s in
+    (0,1) at u = us[c]; shape (len(us), 4)."""
+    rho = cfg.rho
+    x = np.array([-rho * math.log(u) for u in us])
+    a_b, b_b = cfg.M - cfg.n + 1, cfg.n - cfg.m  # beta parameters of the s-factor
     bfull = beta_fn(a_b, b_b)
 
     s = _SPROBES
-    labels = classify_many(x, x - rho * np.log(s), a2, b2)
+    labels = classify_many(x[:, None], x[:, None] - rho * np.log(s), a2, b2)
 
-    changes = np.flatnonzero(labels[1:] != labels[:-1])
-    lo = s[changes]
-    hi = s[changes + 1]
-    left_label = labels[changes]
+    # brackets ordered by column, then by s within a column
+    col, k = np.nonzero(labels[:, 1:] != labels[:, :-1])
+    lo = s[k]
+    hi = s[k + 1]
+    left_label = labels[col, k]
+    xb = x[col]
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        lab_mid = classify_many(x, x - rho * np.log(mid), a2, b2)
+        lab_mid = classify_many(xb, xb - rho * np.log(mid), a2, b2)
         take_lo = lab_mid == left_label
         lo = np.where(take_lo, mid, lo)
         hi = np.where(take_lo, hi, mid)
     cuts = 0.5 * (lo + hi)
 
-    edges = np.concatenate(([0.0], cuts, [1.0]))
-    seg_labels = np.concatenate((labels[changes], [labels[-1]])) if changes.size \
-        else labels[:1]
-    cdf = bfull * betainc(a_b, b_b, edges)
-    seg_mass = np.diff(cdf)
+    # column c splits (0,1) into one more segment than it has cuts; the i-th
+    # cut (in column col[i]) closes segment i + col[i] and opens the next
+    n_seg = np.bincount(col, minlength=x.size) + 1
+    seg_col = np.repeat(np.arange(x.size), n_seg)
+    closes = np.arange(col.size) + col
+    cdf = bfull * betainc(a_b, b_b, np.concatenate(([0.0, 1.0], cuts)))
+    upper = np.full(seg_col.size, cdf[1])
+    upper[closes] = cdf[2:]
+    lower = np.full(seg_col.size, cdf[0])
+    lower[closes + 1] = cdf[2:]
+    seg_labels = np.repeat(labels[:, -1], n_seg)
+    seg_labels[closes] = left_label
 
-    masses = np.zeros(4)
-    for lab, mass in zip(seg_labels, seg_mass):
-        masses[lab - 1] += mass
+    masses = np.zeros((x.size, 4))
+    # unbuffered and in index order, so each row sums its segments in s order
+    np.add.at(masses, (seg_col, seg_labels - 1), upper - lower)
     return masses
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _gauss8(lo: float, hi: float, colmass, weight_fn) -> np.ndarray:
-    """8-node Gauss-Legendre estimate of one u-panel (4-vector of events)."""
-    u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES
-    w = 0.5 * (hi - lo) * _GL_WEIGHTS
-    acc = np.zeros(4)
-    for ui, wi in zip(u, w):
-        acc += wi * weight_fn(ui) * colmass(ui)
-    return acc
+def _gauss8(panels: list[tuple[float, float]], cfg: PairingConfig, a2: float,
+            b2: float, weight_fn) -> list[np.ndarray]:
+    """8-node Gauss-Legendre estimates (4-vectors of events) of u-panels
+    (lo, hi), with the columns of all panels computed in one batch."""
+    nodes = [(0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES,
+              0.5 * (hi - lo) * _GL_WEIGHTS) for lo, hi in panels]
+    masses = _column_masses(np.concatenate([u for u, _ in nodes]), cfg, a2, b2)
+    estimates = []
+    for j, (u, w) in enumerate(nodes):
+        acc = np.zeros(4)
+        for ui, wi, colmass in zip(u, w, masses[j * _GL_NODES.size:]):
+            acc += wi * weight_fn(ui) * colmass
+        estimates.append(acc)
+    return estimates
+
+
+def _halves(lo: float, hi: float) -> list[tuple[float, float]]:
+    mid = 0.5 * (lo + hi)
+    return [(lo, mid), (mid, hi)]
 
 
 def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.5,
@@ -102,14 +128,6 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
              - math.lgamma(M - cfg.n + 1))
     w1 = math.exp(logw1)
 
-    cache: dict[float, np.ndarray] = {}
-
-    def colmass(u: float) -> np.ndarray:
-        got = cache.get(u)
-        if got is None:
-            got = cache[u] = _column_masses(u, cfg, a2, b2)
-        return got
-
     def weight(u: float) -> float:
         return w1 * (1.0 - u)**(m - 1) * u**(M - m)
 
@@ -118,19 +136,21 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
     heap = []
     counter = 0  # heap tie-breaker
 
-    def push(lo: float, hi: float, whole: np.ndarray) -> None:
+    def push(lo: float, hi: float, whole: np.ndarray, left: np.ndarray,
+             right: np.ndarray) -> None:
         nonlocal counter
-        mid = 0.5 * (lo + hi)
-        left = _gauss8(lo, mid, colmass, weight)
-        right = _gauss8(mid, hi, colmass, weight)
         err = float(np.abs(whole - (left + right)).sum())
         counter += 1
-        heapq.heappush(heap, (-err, counter, lo, mid, hi, left, right))
+        heapq.heappush(heap, (-err, counter, lo, 0.5 * (lo + hi), hi, left, right))
 
+    # the starting panels and their halves form the first batch
     n_start = 8
-    for i in range(n_start):
-        lo, hi = i / n_start, (i + 1) / n_start
-        push(lo, hi, _gauss8(lo, hi, colmass, weight))
+    starts = [(i / n_start, (i + 1) / n_start) for i in range(n_start)]
+    est = _gauss8(starts + [h for lo, hi in starts for h in _halves(lo, hi)],
+                  cfg, a2, b2, weight)
+    for (lo, hi), whole, left, right in zip(starts, est[:n_start],
+                                            est[n_start::2], est[n_start + 1::2]):
+        push(lo, hi, whole, left, right)
 
     refined = 0
     while True:
@@ -142,8 +162,10 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
                 f"u-panel budget {max_panels} exhausted; residual error "
                 f"estimate {total_err:.3e} (panels refined: {refined})")
         _, _, lo, mid, hi, left, right = heapq.heappop(heap)
-        push(lo, mid, left)
-        push(mid, hi, right)
+        ll, lr, rl, rr = _gauss8(_halves(lo, mid) + _halves(mid, hi),
+                                 cfg, a2, b2, weight)
+        push(lo, mid, left, ll, lr)
+        push(mid, hi, right, rl, rr)
         refined += 1
 
     totals = np.zeros(4)
@@ -154,17 +176,3 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
             f"event masses sum to {totals.sum()}, outside 1 +/- {10 * tol}")
     p = np.clip(totals, 0.0, 1.0)
     return EventProbabilities(*map(float, p), method="quadrature")
-
-
-@lru_cache(maxsize=128)
-def _cached_quadrature(cfg: PairingConfig, a2: float, b2: float,
-                       tol: float) -> EventProbabilities:
-    return event_probabilities_quadrature(cfg, a2, b2, tol)
-
-
-def p_event_quadrature(event: EventId, cfg: PairingConfig, a2: float,
-                       b2: float = 0.5, tol: float = 1e-6) -> float:
-    """Single event probability; the underlying 4-vector is computed once
-    per (cfg, a2, b2, tol) and cached."""
-    probs = _cached_quadrature(cfg, a2, b2, tol)
-    return probs.as_tuple()[event.value - 1]

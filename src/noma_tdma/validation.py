@@ -247,7 +247,8 @@ def check_probabilities(seed: int, trials: int = 1_000_000,
             cfg = PairingConfig(M, m, n, rho)
             a2 = 1.0 / math.sqrt(rho)
             closed = analytic.event_probabilities_closed(cfg, a2)
-            quad = quadrature._cached_quadrature(cfg, a2, 0.5, quad_tol)
+            quad = quadrature.event_probabilities_quadrature(cfg, a2, 0.5,
+                                                             quad_tol)
             mc = montecarlo.estimate_event_probs(
                 cfg, a2, 0.5, montecarlo.McConfig(trials=trials, seed=seed))
             dq = max(abs(a - b) for a, b in

@@ -11,13 +11,12 @@ from noma_tdma import (
     PairingConfig,
     estimate_average_rates,
     estimate_event_probs,
+    event_probabilities_quadrature,
     optimal_a2_special,
     p_eps2_closed,
     p_eps4_closed,
 )
 from noma_tdma import validation
-from noma_tdma.events import EventId
-from noma_tdma.quadrature import _cached_quadrature
 
 RHO25 = 10.0**2.5
 SEED = 42
@@ -126,8 +125,7 @@ def test_criterion_8_sum_rate_event_adjudication():
             cfg = PairingConfig(10, m, n, rho)
             a2 = 1.0 / math.sqrt(rho)
             closed = p_eps4_closed(cfg, a2)
-            oracle = _cached_quadrature(cfg, a2, 0.5, 1e-6).as_tuple()[
-                EventId.E4.value - 1]
+            oracle = event_probabilities_quadrature(cfg, a2, 0.5, 1e-6).p4
             worst = max(worst, abs(closed - oracle))
     _report("criterion 8 (sum-rate event adjudication)", worst <= 1e-3,
             f"worst |closed - quadrature| P(E4) = {worst:.1e}; the corrected "

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from noma_tdma import quadrature
 from noma_tdma import (
     ConvergenceError,
-    EventId,
     EventProbabilities,
     InconsistencyError,
     PairingConfig,
+    classify_many,
     constants_for,
     event_probabilities_closed,
     event_probabilities_quadrature,
@@ -21,7 +22,6 @@ from noma_tdma import (
     p_eps2_special,
     p_eps3_closed,
     p_eps4_closed,
-    p_event_quadrature,
     strong_user_tail,
 )
 
@@ -149,7 +149,7 @@ class TestEps4Closed:
         for (m, n) in [(1, 10), (2, 7), (5, 6)]:
             cfg = PairingConfig(10, m, n, RHO25)
             a2 = 1.0 / math.sqrt(RHO25)
-            oracle = p_event_quadrature(EventId.E4, cfg, a2, tol=1e-6)
+            oracle = event_probabilities_quadrature(cfg, a2, tol=1e-6).p4
             assert p_eps4_closed(cfg, a2) == pytest.approx(oracle, abs=1e-3)
 
 
@@ -185,7 +185,7 @@ class TestQuadratureOracle:
     def test_special_case_value(self):
         cfg = PairingConfig(10, 1, 10, RHO25)
         a2 = optimal_a2_special(RHO25)
-        assert p_event_quadrature(EventId.E2, cfg, a2, tol=1e-6) == \
+        assert event_probabilities_quadrature(cfg, a2, tol=1e-6).p2 == \
             pytest.approx(0.998046875, abs=1e-4)
 
     def test_threshold_form(self):
@@ -196,7 +196,7 @@ class TestQuadratureOracle:
         val, _ = dblquad(lambda y, x: joint_pdf(x, y, cfg),
                          1e-12, w2, w2, 50.0 * RHO25,
                          epsabs=1e-10, epsrel=1e-9)
-        assert p_event_quadrature(EventId.E2, cfg, a2, tol=1e-6) == \
+        assert event_probabilities_quadrature(cfg, a2, tol=1e-6).p2 == \
             pytest.approx(val, abs=1e-4)
 
     def test_general_time_split(self):
@@ -206,6 +206,40 @@ class TestQuadratureOracle:
         probs = event_probabilities_quadrature(cfg, 0.2, b2=0.3, tol=1e-5)
         assert math.fsum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-4)
         assert all(0.0 <= p <= 1.0 for p in probs.as_tuple())
+
+    @pytest.mark.parametrize("cfg, a2, b2, tol, expect", [
+        (PairingConfig(6, 2, 5, 100.0), 0.2, 0.3, 1e-5,
+         ("0x1.fd9524de57c17p-1", "0x1.356d5e68d4ccfp-8",
+          "0x1.333829dc05fcbp-27", "0x1.8088b7bbc6827p-29")),
+        (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
+         ("0x1.05f3f760d49e5p-4", "0x1.f598f1d1a2c08p-4",
+          "0x1.a07d27dbcb426p-1", "0x1.13afde5d11656p-13")),
+    ], ids=["b2_0.3", "m4_n5_25dB"])
+    def test_pinned_output(self, cfg, a2, b2, tol, expect):
+        # exact values: any change to the panels refined, their order or the
+        # per-node arithmetic moves the last bits
+        probs = event_probabilities_quadrature(cfg, a2, b2, tol)
+        assert tuple(p.hex() for p in probs.as_tuple()) == expect
+
+    def test_one_classifier_batch_per_refinement_step(self, monkeypatch):
+        shapes = []
+
+        def counting(x, y, *args, **kwargs):
+            shapes.append(np.shape(y))
+            return classify_many(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "classify_many", counting)
+        cfg = PairingConfig(10, 4, 5, RHO25)
+        event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25), tol=1e-6)
+        # each step is one (columns x probes) call plus 60 bisection calls
+        # on the flat brackets of all its columns
+        steps = [i for i, shape in enumerate(shapes) if len(shape) == 2]
+        assert steps == list(range(0, len(shapes), 61))
+        assert all(len(shape) == 1 for i, shape in enumerate(shapes)
+                   if i not in steps)
+        # 8 starting panels and their 16 halves (8 nodes each) make the first
+        # step; each refined panel then adds its 4 quarters; 14 are refined
+        assert [shapes[i][0] for i in steps] == [192] + [32] * 14
 
     def test_tolerance_validation(self):
         cfg = PairingConfig(6, 2, 5, 100.0)

@@ -91,6 +91,15 @@ class TestEvents:
         assert doc["records"][0]["method"] == "closed"
 
 
+class TestA2Mode:
+    @pytest.mark.parametrize("command", [["events", "--m", "2", "--n", "7"],
+                                         ["sweep-n"]])
+    def test_unknown_mode_is_usage_error(self, command, capsys):
+        rc = main([*command, "--method", "closed", "--a2-mode", "bogus"])
+        assert rc == EXIT_USAGE
+        assert "a2 mode must be" in capsys.readouterr().err
+
+
 class TestSweepN:
     def test_row_count_and_monotonicity(self, tmp_path):
         out = tmp_path / "sweep.csv"
