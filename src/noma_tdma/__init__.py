@@ -12,7 +12,6 @@ from .regions import (
     tdma_rate_pair,
     noma_boundary,
     tdma_boundary,
-    capacity_boundary,
     noma_boundary_slope,
     noma_arc_z_max,
     region_boundary_samples,
@@ -33,16 +32,13 @@ from .order_stats import (
     constants_for,
     joint_pdf,
     marginal_cdf_n,
-    sample_pair,
     sample_pairs,
 )
 from .analytic import (
     EventProbabilities,
     InconsistencyError,
     ConvergenceError,
-    p_eps1_closed,
     p_eps2_closed,
-    p_eps3_closed,
     p_eps4_closed,
     p_eps2_special,
     optimal_a2_special,

@@ -108,13 +108,10 @@ def _eps2_poly_coeffs(cfg: PairingConfig) -> dict[int, Fraction]:
     are accumulated as exact fractions, keyed by the power of d.
     """
     M, m, n = cfg.M, cfg.m, cfg.n
-    w1 = Fraction(
-        math.factorial(M),
-        math.factorial(m - 1) * math.factorial(n - 1 - m) * math.factorial(M - n))
     coeffs: dict[int, Fraction] = {}
     for k in range(m):
         sign_k = -1 if (m - 1 - k) % 2 else 1
-        base = sign_k * w1 * math.comb(m - 1, k) / (n - 1 - k)
+        base = Fraction(sign_k * cfg.w1 * math.comb(m - 1, k), n - 1 - k)
         # Q1 contribution
         for i in range(n):
             s = -1 if (n - 1 - i) % 2 else 1
@@ -151,21 +148,13 @@ def strong_user_tail(cfg: PairingConfig, a2: float) -> float:
     """
     c = constants_for(cfg, a2)
     M, n = cfg.M, cfg.n
-    w3 = Fraction(math.factorial(M),
-                  math.factorial(n - 1) * math.factorial(M - n))
     logd = -c.w2 / cfg.rho
     terms = []
     for i in range(n):
         s = -1 if i % 2 else 1
-        coef = s * w3 * Fraction(math.comb(n - 1, i), M - n + i + 1)
+        coef = s * cfg.w3 * Fraction(math.comb(n - 1, i), M - n + i + 1)
         terms.append(float(coef) * math.exp((M - n + i + 1) * logd))
     return _clamp_probability(_fsum_desc(terms), "P(y > w2)")
-
-
-def p_eps1_closed(cfg: PairingConfig, a2: float) -> float:
-    """P(E1) = P(R2N > R2T) - P(E2) = P(y > w2) - P(E2)."""
-    return _clamp_probability(
-        strong_user_tail(cfg, a2) - p_eps2_closed(cfg, a2), "P(E1)")
 
 
 def p_eps4_closed(cfg: PairingConfig, a2: float, quad_tol: float = 1e-8) -> float:
@@ -208,21 +197,20 @@ def p_eps4_closed(cfg: PairingConfig, a2: float, quad_tol: float = 1e-8) -> floa
         1.0 - integral - strong_user_tail(cfg, a2), "P(E4)")
 
 
-def p_eps3_closed(cfg: PairingConfig, a2: float, quad_tol: float = 1e-8) -> float:
-    """P(E3) as the complement of the other three events."""
-    p = 1.0 - p_eps1_closed(cfg, a2) - p_eps2_closed(cfg, a2) \
-        - p_eps4_closed(cfg, a2, quad_tol)
-    if p < -COMPLEMENT_TOL or p > 1.0 + COMPLEMENT_TOL:
-        raise InconsistencyError(
-            f"complement P(E3) = {p}: closed forms are mutually inconsistent")
-    return min(max(p, 0.0), 1.0)
-
-
 def event_probabilities_closed(cfg: PairingConfig, a2: float,
                                quad_tol: float = 1e-8) -> EventProbabilities:
-    """All four closed-form probabilities, normalized by construction."""
-    p1 = p_eps1_closed(cfg, a2)
+    """All four closed-form probabilities, normalized by construction.
+
+    P(E1) = P(R2N > R2T) - P(E2) = P(y > w2) - P(E2), and P(E3) is the
+    complement of the other three events.
+    """
+    tail = strong_user_tail(cfg, a2)
     p2 = p_eps2_closed(cfg, a2)
+    p1 = _clamp_probability(tail - p2, "P(E1)")
     p4 = p_eps4_closed(cfg, a2, quad_tol)
-    p3 = p_eps3_closed(cfg, a2, quad_tol)
-    return EventProbabilities(p1, p2, p3, p4, method="closed_form")
+    p3 = 1.0 - p1 - p2 - p4
+    if p3 < -COMPLEMENT_TOL or p3 > 1.0 + COMPLEMENT_TOL:
+        raise InconsistencyError(
+            f"complement P(E3) = {p3}: closed forms are mutually inconsistent")
+    return EventProbabilities(p1, p2, min(max(p3, 0.0), 1.0), p4,
+                              method="closed_form")

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import ChannelPair
-
 
 @dataclass(frozen=True)
 class PairingConfig:
@@ -32,14 +30,26 @@ class PairingConfig:
         if not (np.isfinite(self.rho) and self.rho > 0.0):
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
+    @property
+    def w1(self) -> int:
+        """Joint order-statistic normalization M!/((m-1)!(n-1-m)!(M-n)!)."""
+        return math.factorial(self.M) // (
+            math.factorial(self.m - 1) * math.factorial(self.n - 1 - self.m)
+            * math.factorial(self.M - self.n))
+
+    @property
+    def w3(self) -> int:
+        """n-th order-statistic normalization M!/((n-1)!(M-n)!)."""
+        return math.factorial(self.M) // (
+            math.factorial(self.n - 1) * math.factorial(self.M - self.n))
+
 
 @dataclass(frozen=True)
 class AnalyticConstants:
     """Constants entering the closed-form event probabilities.
 
-    w1: joint order-statistic normalization M!/((m-1)!(n-1-m)!(M-n)!)
+    w1, w3: PairingConfig.w1 and PairingConfig.w3 as floats
     w2: SNR threshold (1 - 2*a2)/a2^2 for the equal time split
-    w3: n-th order-statistic normalization M!/((n-1)!(M-n)!)
     d:  exp(-w2/rho)
     """
 
@@ -53,12 +63,9 @@ def constants_for(cfg: PairingConfig, a2: float) -> AnalyticConstants:
     """Evaluate (w1, w2, w3, d) for a pairing and a power split a2 in (0, 1/2]."""
     if not 0.0 < a2 <= 0.5:
         raise ValueError(f"need 0 < a2 <= 1/2, got {a2}")
-    M, m, n = cfg.M, cfg.m, cfg.n
-    w1 = math.factorial(M) // (
-        math.factorial(m - 1) * math.factorial(n - 1 - m) * math.factorial(M - n))
-    w3 = math.factorial(M) // (math.factorial(n - 1) * math.factorial(M - n))
     w2 = (1.0 - 2.0 * a2) / a2**2
-    return AnalyticConstants(float(w1), w2, float(w3), math.exp(-w2 / cfg.rho))
+    return AnalyticConstants(float(cfg.w1), w2, float(cfg.w3),
+                             math.exp(-w2 / cfg.rho))
 
 
 def joint_pdf(x, y, cfg: PairingConfig):
@@ -72,10 +79,9 @@ def joint_pdf(x, y, cfg: PairingConfig):
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("SNR arguments must be positive")
     M, m, n, rho = cfg.M, cfg.m, cfg.n, cfg.rho
-    w1 = constants_for(cfg, 0.5).w1
     ux = np.exp(-x / rho)          # 1 - F(x)
     uy = np.exp(-y / rho)
-    dens = (w1 / rho**2 * ux * uy
+    dens = (cfg.w1 / rho**2 * ux * uy
             * (1.0 - ux)**(m - 1)
             * uy**(M - n)
             * np.maximum(ux - uy, 0.0)**(n - 1 - m))
@@ -100,26 +106,22 @@ def sample_pairs(cfg: PairingConfig, rng: np.random.Generator,
                  size: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw `size` ordered SNR pairs (x, y); vectorized sampler.
 
-    Each row sorts M i.i.d. exponential(mean rho) draws and keeps entries
-    m and n.  Exact ties (probability ~0 in float64) are resampled.
+    Renyi (1953) representation: the spacings of M i.i.d. exponential(mean
+    rho) order statistics are independent, the (k+1)-th exponential with mean
+    rho/(M-k).  x sums the first m spacings and y = x plus the next n-m, so
+    a pair costs n draws and no sort.  A row with y <= x can only come from
+    x + spacings rounding to x; such rows are redrawn.
     """
-    rho, M, m, n = cfg.rho, cfg.M, cfg.m, cfg.n
-    gains = rng.exponential(scale=rho, size=(size, M))
-    gains.sort(axis=1)
-    x = gains[:, m - 1].copy()
-    y = gains[:, n - 1].copy()
-    while True:
-        bad = np.flatnonzero(x >= y)
-        if bad.size == 0:
-            break
-        redraw = rng.exponential(scale=rho, size=(bad.size, M))
-        redraw.sort(axis=1)
-        x[bad] = redraw[:, m - 1]
-        y[bad] = redraw[:, n - 1]
+    x = np.zeros(size)
+    s = np.zeros(size)
+    for k in range(cfg.n):
+        spacing = rng.standard_exponential(size) * (cfg.rho / (cfg.M - k))
+        if k < cfg.m:
+            x += spacing
+        else:
+            s += spacing
+    y = x + s
+    bad = np.flatnonzero(y <= x)
+    if bad.size:
+        x[bad], y[bad] = sample_pairs(cfg, rng, bad.size)
     return x, y
-
-
-def sample_pair(cfg: PairingConfig, rng: np.random.Generator) -> ChannelPair:
-    """Draw one ordered channel pair."""
-    x, y = sample_pairs(cfg, rng, 1)
-    return ChannelPair(float(x[0]), float(y[0]))

@@ -157,12 +157,6 @@ def tdma_boundary(z: float, ch: ChannelPair) -> float:
     return (1.0 - z / r2_star) * r1_star
 
 
-def capacity_boundary(z: float, ch: ChannelPair) -> float:
-    """Capacity-region boundary; same curve as the NOMA boundary but the
-    full power sweep a2 in [0, 1] is admissible."""
-    return noma_boundary(z, ch)
-
-
 def noma_boundary_slope(z: float, ch: ChannelPair) -> float:
     """Analytic derivative of the NOMA boundary: -x*2^z / (y - x + x*2^z)."""
     _, r2_star = single_user_rates(ch)
@@ -171,8 +165,9 @@ def noma_boundary_slope(z: float, ch: ChannelPair) -> float:
     return -ch.x * p / (ch.y - ch.x + ch.x * p)
 
 
+#: the capacity boundary is the NOMA curve, swept over all of a2 in [0, 1]
 _BOUNDARIES = {
-    "capacity": capacity_boundary,
+    "capacity": noma_boundary,
     "noma": noma_boundary,
     "tdma": tdma_boundary,
 }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from noma_tdma import quadrature
+from noma_tdma import analytic, quadrature
 from noma_tdma import (
     ConvergenceError,
     EventProbabilities,
@@ -17,10 +17,8 @@ from noma_tdma import (
     joint_pdf,
     marginal_cdf_n,
     optimal_a2_special,
-    p_eps1_closed,
     p_eps2_closed,
     p_eps2_special,
-    p_eps3_closed,
     p_eps4_closed,
     strong_user_tail,
 )
@@ -117,20 +115,23 @@ class TestEps1Closed:
             a2 = float(rng.uniform(0.01, 0.5))
             w2 = constants_for(cfg, a2).w2
             expect = 1.0 - marginal_cdf_n(w2, cfg) - p_eps2_closed(cfg, a2)
-            assert p_eps1_closed(cfg, a2) == pytest.approx(expect, abs=1e-10)
+            assert event_probabilities_closed(cfg, a2).p1 == pytest.approx(
+                expect, abs=1e-10)
 
     def test_two_user_d_half(self):
         # P(y > w2) = 1 - (1-d)^2 = 3/4 at d = 1/2; P(E1) = 3/4 - 1/2
         cfg = PairingConfig(2, 1, 2, RHO25)
         a2 = optimal_a2_special(RHO25)
         assert strong_user_tail(cfg, a2) == pytest.approx(0.75, abs=1e-12)
-        assert p_eps1_closed(cfg, a2) == pytest.approx(0.25, abs=1e-12)
+        assert event_probabilities_closed(cfg, a2).p1 == pytest.approx(
+            0.25, abs=1e-12)
 
     def test_boundary_split(self):
         # w2 = 0: every y exceeds the threshold but no x is below it,
         # so E1 happens with certainty
         cfg = PairingConfig(10, 2, 7, RHO25)
-        assert p_eps1_closed(cfg, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert event_probabilities_closed(cfg, 0.5).p1 == pytest.approx(
+            1.0, abs=1e-12)
 
 
 class TestEps4Closed:
@@ -157,8 +158,9 @@ class TestEps3AndDistribution:
     def test_complement(self):
         cfg = PairingConfig(10, 1, 10, RHO25)
         a2 = 1.0 / math.sqrt(RHO25)
-        total = (p_eps1_closed(cfg, a2) + p_eps2_closed(cfg, a2)
-                 + p_eps3_closed(cfg, a2) + p_eps4_closed(cfg, a2))
+        probs = event_probabilities_closed(cfg, a2)
+        total = (probs.p1 + p_eps2_closed(cfg, a2)
+                 + probs.p3 + p_eps4_closed(cfg, a2))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_distribution_object(self):
@@ -166,6 +168,39 @@ class TestEps3AndDistribution:
         probs = event_probabilities_closed(cfg, 1.0 / math.sqrt(RHO25))
         assert probs.method == "closed_form"
         assert math.fsum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cfg, a2, expect", [
+        (PairingConfig(10, 2, 7, RHO25), 1.0 / math.sqrt(RHO25),
+         ("0x1.183088fb15a00p-9", "0x1.49efe61209760p-1",
+          "0x1.69b6797d6f39cp-2", "0x1.caca643d78000p-13")),
+        (PairingConfig(20, 5, 6, 100.0), 0.1,
+         ("0x1.8980d241dac78p-10", "0x1.3c1e8d9e2a5f2p-8",
+          "0x1.f9c23da308358p-1", "0x1.80626c4d442f0p-8")),
+    ], ids=["M10_m2_n7_25dB", "M20_m5_n6_20dB"])
+    def test_pinned_output(self, cfg, a2, expect):
+        # exact values: deriving P(E1) and P(E3) from one evaluation of each
+        # series must not move a bit
+        probs = event_probabilities_closed(cfg, a2)
+        assert tuple(p.hex() for p in probs.as_tuple()) == expect
+
+    def test_each_series_evaluated_once(self, monkeypatch):
+        calls = {}
+
+        def counting(name):
+            fn = getattr(analytic, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("p_eps2_closed", "p_eps4_closed", "strong_user_tail"):
+            monkeypatch.setattr(analytic, name, counting(name))
+        event_probabilities_closed(PairingConfig(10, 2, 7, RHO25),
+                                   1.0 / math.sqrt(RHO25))
+        # P(y > w2) once for P(E1) and once inside P(E4)
+        assert calls == {"p_eps2_closed": 1, "p_eps4_closed": 1,
+                         "strong_user_tail": 2}
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(InconsistencyError):

@@ -9,7 +9,6 @@ from noma_tdma import (
     constants_for,
     joint_pdf,
     marginal_cdf_n,
-    sample_pair,
     sample_pairs,
 )
 from noma_tdma.validation import _ks_statistic, _uv_density
@@ -108,8 +107,27 @@ class TestSampler:
 
     def test_single_pair(self):
         cfg = PairingConfig(4, 1, 3, 10.0)
-        ch = sample_pair(cfg, np.random.default_rng(6))
-        assert 0.0 < ch.x < ch.y
+        x, y = sample_pairs(cfg, np.random.default_rng(6), 1)
+        assert 0.0 < x[0] < y[0]
+
+    def test_rounded_ties_are_redrawn(self):
+        class ZeroSpacingsFirst:
+            """Draws 1, except 0 for the spacings past the m-th on the first
+            pass, so that every first pair has y == x."""
+
+            def __init__(self, cfg):
+                self.cfg, self.calls = cfg, 0
+
+            def standard_exponential(self, size):
+                self.calls += 1
+                zero = self.calls <= self.cfg.n and self.calls > self.cfg.m
+                return np.zeros(size) if zero else np.ones(size)
+
+        cfg = PairingConfig(10, 2, 7, 100.0)
+        rng = ZeroSpacingsFirst(cfg)
+        x, y = sample_pairs(cfg, rng, 5)
+        assert np.all(x < y)
+        assert rng.calls == 2 * cfg.n
 
     def test_mean_of_max_of_two(self):
         cfg = PairingConfig(2, 1, 2, 1.0)
@@ -117,8 +135,9 @@ class TestSampler:
         se = y.std() / math.sqrt(len(y))
         assert abs(y.mean() - 1.5) <= 3 * se
 
-    def test_marginal_ks(self):
-        cfg = PairingConfig(10, 1, 10, 316.0)
+    @pytest.mark.parametrize("M,m,n", [(10, 1, 10), (200, 5, 6)])
+    def test_marginal_ks(self, M, m, n):
+        cfg = PairingConfig(M, m, n, 316.0)
         _, y = sample_pairs(cfg, np.random.default_rng(8), 100_000)
         ks = _ks_statistic(y, lambda t: marginal_cdf_n(t, cfg))
         assert ks < 1.628 / math.sqrt(len(y))  # 1% critical value

@@ -9,7 +9,6 @@ from noma_tdma import (
     PowerSplit,
     RatePair,
     TimeSplit,
-    capacity_boundary,
     noma_arc_z_max,
     noma_boundary,
     noma_boundary_slope,
@@ -122,15 +121,18 @@ class TestBoundaries:
 
     def test_capacity_matches_noma_curve(self):
         z = math.log2(2.5)  # a2 = 1/2 point
-        assert capacity_boundary(z, CH13) == pytest.approx(
+        assert noma_boundary(z, CH13) == pytest.approx(
             math.log2(4.0 / 3.0), abs=1e-12)
-        assert capacity_boundary(0.0, CH13) == pytest.approx(1.0, abs=1e-12)
+        # the capacity boundary is the NOMA curve over all of [0, R2*]
+        pts = region_boundary_samples("capacity", CH13, 3)
+        assert [(p.r1, p.r2) for p in pts] == pytest.approx(
+            [(1.0, 0.0), (math.log2(1.5), 1.0), (0.0, 2.0)], abs=1e-12)
 
     def test_domain_slack_and_errors(self):
         # round-off slack inside 1e-12 is clamped
         assert noma_boundary(-1e-13, CH13) == pytest.approx(1.0, abs=1e-12)
         assert tdma_boundary(2.0 + 1e-13, CH13) == pytest.approx(0.0, abs=1e-12)
-        for fn in (noma_boundary, tdma_boundary, capacity_boundary):
+        for fn in (noma_boundary, tdma_boundary):
             with pytest.raises(ValueError):
                 fn(-1e-6, CH13)
             with pytest.raises(ValueError):
