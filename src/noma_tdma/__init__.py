@@ -18,18 +18,16 @@ from .regions import (
 )
 from .events import (
     EventId,
-    ComparisonOutcome,
     DegenerateSplitError,
     ClassificationError,
     classify_full,
     classify_reduced,
     classify_many,
+    e2_threshold,
     epsilon2_threshold,
 )
 from .order_stats import (
     PairingConfig,
-    AnalyticConstants,
-    constants_for,
     joint_pdf,
     marginal_cdf_n,
     sample_pairs,

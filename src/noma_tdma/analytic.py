@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from scipy.integrate import quad
 
-from .order_stats import PairingConfig, constants_for
+from .events import e2_threshold
+from .order_stats import PairingConfig
 
 LN2 = math.log(2.0)
 
@@ -133,8 +134,7 @@ def p_eps2_closed(cfg: PairingConfig, a2: float) -> float:
     Alternating double/triple binomial series in d = exp(-w2/rho); the outer
     k-term carries the 1/(n-1-k) factor from the underlying Beta integral.
     """
-    c = constants_for(cfg, a2)
-    logd = -c.w2 / cfg.rho
+    logd = -e2_threshold(a2) / cfg.rho
     terms = [float(coef) * math.exp(power * logd)
              for power, coef in _eps2_poly_coeffs(cfg).items()]
     return _clamp_probability(_fsum_desc(terms), "P(E2)")
@@ -146,9 +146,8 @@ def strong_user_tail(cfg: PairingConfig, a2: float) -> float:
     The constant part of the alternating series (1 - w3*sum(...)) cancels to
     exactly zero, so only the powers of d are evaluated in floating point.
     """
-    c = constants_for(cfg, a2)
     M, n = cfg.M, cfg.n
-    logd = -c.w2 / cfg.rho
+    logd = -e2_threshold(a2) / cfg.rho
     terms = []
     for i in range(n):
         s = -1 if i % 2 else 1
@@ -166,9 +165,8 @@ def p_eps4_closed(cfg: PairingConfig, a2: float, quad_tol: float = 1e-8) -> floa
     """
     if not 1e-12 <= quad_tol <= 1e-4:
         raise ValueError(f"quad_tol must lie in [1e-12, 1e-4], got {quad_tol}")
-    c = constants_for(cfg, a2)
     M, m, n, rho = cfg.M, cfg.m, cfg.n, cfg.rho
-    w2 = c.w2
+    w2 = e2_threshold(a2)
     lo = math.sqrt(w2 + 1.0) - 1.0
     hi = w2
     if hi > lo:
@@ -190,7 +188,7 @@ def p_eps4_closed(cfg: PairingConfig, a2: float, quad_tol: float = 1e-8) -> floa
         if err > max(10.0 * quad_tol, 10.0 * quad_tol * abs(val)):
             raise ConvergenceError(
                 f"1-D quadrature error estimate {err} above tolerance {quad_tol}")
-        integral = c.w1 * val
+        integral = cfg.w1 * val
     else:
         integral = 0.0
     return _clamp_probability(

@@ -26,6 +26,7 @@ from .regions import (
     noma_rate_pair,
     region_boundary_samples,
     single_user_rates,
+    tdma_boundary,
     tdma_rate_pair,
 )
 
@@ -118,12 +119,22 @@ def cmd_regions(args: argparse.Namespace) -> int:
         r1s, r2s = single_user_rates(ch)
         # intersections of the three comparison lines with the TDMA segment
         rows.append(["point_B", (1.0 - n_pt.r1 / r1s) * r2s, n_pt.r1])
-        rows.append(["point_C", n_pt.r2, (1.0 - n_pt.r2 / r2s) * r1s])
+        rows.append(["point_C", n_pt.r2, tdma_boundary(n_pt.r2, ch)])
         s = n_pt.r1 + n_pt.r2
         z_d = (s - r1s) / (1.0 - r1s / r2s)
-        rows.append(["point_D", z_d, (1.0 - z_d / r2s) * r1s])
+        rows.append(["point_D", z_d, tdma_boundary(z_d, ch)])
     _emit(args, ["region", "r2", "r1"], rows)
     return EXIT_OK
+
+
+def _methods(args: argparse.Namespace) -> list[str]:
+    """The methods --method selects; the closed forms exist for b2 = 1/2 only."""
+    methods = ["closed", "quadrature", "mc"] if args.method == "all" \
+        else [args.method]
+    if "closed" in methods and args.b2 != 0.5:
+        raise ValueError(
+            f"the closed forms hold for b2 = 1/2 only, got --b2 {args.b2}")
+    return methods
 
 
 def _event_rows(cfg: PairingConfig, a2: float, b2: float, methods: list[str],
@@ -154,9 +165,7 @@ def cmd_events(args: argparse.Namespace) -> int:
     rho = 10.0**(args.rho_db / 10.0)
     cfg = PairingConfig(args.M, args.m, args.n, rho)
     a2 = _resolve_a2(args.a2_mode, rho)
-    methods = ["closed", "quadrature", "mc"] if args.method == "all" \
-        else [args.method]
-    rows = _event_rows(cfg, a2, args.b2, methods, args)
+    rows = _event_rows(cfg, a2, args.b2, _methods(args), args)
     _emit(args, EVENTS_HEADER, rows)
     return EXIT_OK
 
@@ -164,8 +173,7 @@ def cmd_events(args: argparse.Namespace) -> int:
 def cmd_sweep_n(args: argparse.Namespace) -> int:
     rho = 10.0**(args.rho_db / 10.0)
     a2 = _resolve_a2(args.a2_mode, rho)
-    methods = ["closed", "quadrature", "mc"] if args.method == "all" \
-        else [args.method]
+    methods = _methods(args)
     rows = []
     prev = {}
     for n in range(args.m + 1, args.M + 1):

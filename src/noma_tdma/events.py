@@ -12,7 +12,6 @@ four subsegments; the event index says which subsegment T falls on:
 from __future__ import annotations
 
 from enum import Enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,15 +37,6 @@ class EventId(Enum):
     E4 = 4
 
 
-@dataclass(frozen=True)
-class ComparisonOutcome:
-    """Signs of (R1N - R1T, R2N - R2T, sumN - sumT), each in {-1, 0, +1}."""
-
-    r1_cmp: int
-    r2_cmp: int
-    sum_cmp: int
-
-
 # Required signs per event; None = condition not used (reduced definitions).
 # Ties (sign 0) match either direction, and events are tried in id order,
 # which implements the lower-id tie-break deterministically.
@@ -64,61 +54,35 @@ _REDUCED_CONDITIONS = [
 ]
 
 
-def _check_splits(p: PowerSplit, t: TimeSplit) -> None:
-    p.require_noma()
-    if p.a2 == 0.0:
-        raise DegenerateSplitError("a2 = 0 puts N at point A")
-    if t.b2 == 0.0 or t.b2 == 1.0:
-        raise DegenerateSplitError(f"b2 = {t.b2} puts T at a segment endpoint")
-
-
-def _sign(delta: float, tol: float = TIE_TOL) -> int:
-    if abs(delta) <= tol:
-        return 0
-    return 1 if delta > 0.0 else -1
-
-
-def compare_rates(ch: ChannelPair, p: PowerSplit, t: TimeSplit) -> ComparisonOutcome:
-    """Evaluate the three NOMA-vs-TDMA comparisons for one realization."""
-    _check_splits(p, t)
-    r1n, r2n = noma_rates(ch.x, ch.y, p.a2)
-    r1t, r2t = tdma_rates(ch.x, ch.y, t.b2)
-    return ComparisonOutcome(
-        _sign(float(r1n - r1t)),
-        _sign(float(r2n - r2t)),
-        _sign(float((r1n + r2n) - (r1t + r2t))),
-    )
-
-
-def _match(outcome: ComparisonOutcome, conditions) -> EventId:
-    signs = (outcome.r1_cmp, outcome.r2_cmp, outcome.sum_cmp)
-    for event, required in conditions:
-        if all(r is None or s == r or s == 0 for s, r in zip(signs, required)):
-            return event
-    raise ClassificationError(f"no event matched comparison outcome {outcome}")
-
-
 def classify_full(ch: ChannelPair, p: PowerSplit, t: TimeSplit) -> EventId:
     """Classify using all three comparisons of the full event definitions."""
-    return _match(compare_rates(ch, p, t), _FULL_CONDITIONS)
+    p.require_noma()
+    return EventId(int(classify_many(ch.x, ch.y, p.a2, t.b2)))
 
 
 def classify_reduced(ch: ChannelPair, p: PowerSplit, t: TimeSplit) -> EventId:
     """Classify using only the reduced (redundancy-free) conditions.
 
-    Implemented independently of classify_full so agreement between the two
-    is a genuine check of the underlying boundary geometry.
+    Its condition table is written independently of the full one, so
+    agreement between the two is a genuine check of the underlying boundary
+    geometry.
     """
-    return _match(compare_rates(ch, p, t), _REDUCED_CONDITIONS)
+    p.require_noma()
+    return EventId(int(classify_many(ch.x, ch.y, p.a2, t.b2, reduced=True)))
+
+
+def e2_threshold(a2: float) -> float:
+    """SNR threshold w2 = (1 - 2*a2) / a2**2 of event E2 at b2 = 1/2."""
+    if not 0.0 < a2 <= 0.5:
+        raise DegenerateSplitError(f"need 0 < a2 <= 1/2, got {a2}")
+    return (1.0 - 2.0 * a2) / a2**2
 
 
 def epsilon2_threshold(ch: ChannelPair, p: PowerSplit) -> bool:
     """Threshold form of event E2 for the equal time split b2 = 1/2:
-    E2 occurs iff x < w2 < y with w2 = (1 - 2*a2) / a2**2."""
+    E2 occurs iff x < w2 < y."""
     p.require_noma()
-    if p.a2 == 0.0:
-        raise DegenerateSplitError("a2 = 0 puts N at point A")
-    w2 = (1.0 - 2.0 * p.a2) / p.a2**2
+    w2 = e2_threshold(p.a2)
     return bool(ch.x < w2 < ch.y)
 
 

@@ -44,30 +44,6 @@ class PairingConfig:
             math.factorial(self.n - 1) * math.factorial(self.M - self.n))
 
 
-@dataclass(frozen=True)
-class AnalyticConstants:
-    """Constants entering the closed-form event probabilities.
-
-    w1, w3: PairingConfig.w1 and PairingConfig.w3 as floats
-    w2: SNR threshold (1 - 2*a2)/a2^2 for the equal time split
-    d:  exp(-w2/rho)
-    """
-
-    w1: float
-    w2: float
-    w3: float
-    d: float
-
-
-def constants_for(cfg: PairingConfig, a2: float) -> AnalyticConstants:
-    """Evaluate (w1, w2, w3, d) for a pairing and a power split a2 in (0, 1/2]."""
-    if not 0.0 < a2 <= 0.5:
-        raise ValueError(f"need 0 < a2 <= 1/2, got {a2}")
-    w2 = (1.0 - 2.0 * a2) / a2**2
-    return AnalyticConstants(float(cfg.w1), w2, float(cfg.w3),
-                             math.exp(-w2 / cfg.rho))
-
-
 def joint_pdf(x, y, cfg: PairingConfig):
     """Joint density of the paired order statistics at (x, y); zero for x >= y.
 

@@ -109,6 +109,17 @@ def tdma_rates(x, y, b2):
     return (1.0 - b2) * log2_1p(x), b2 * log2_1p(y)
 
 
+def f_noma(z, x, y):
+    """Weak-user rate f^N(z) = log2((1+x)y / (y + (2^z - 1)x)) on the
+    NOMA/capacity boundary at strong-user rate z."""
+    return log2_1p(x) - log2_1p(np.expm1(z * LN2) * x / y)
+
+
+def f_tdma(z, x, y):
+    """Weak-user rate f^T(z) = (1 - z/R2*) R1* on the TDMA segment."""
+    return (1.0 - z / log2_1p(y)) * log2_1p(x)
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -143,18 +154,16 @@ def _check_z(z: float, zmax: float) -> float:
 def noma_boundary(z: float, ch: ChannelPair) -> float:
     """Weak-user rate on the NOMA/capacity boundary at strong-user rate z.
 
-    Evaluates log2((1+x)y / (y + (2^z - 1)x)) for z in [0, R2*].
+    Evaluates f_noma for z in [0, R2*].
     """
     _, r2_star = single_user_rates(ch)
-    z = _check_z(z, r2_star)
-    return float(log2_1p(ch.x) - log2_1p(np.expm1(z * LN2) * ch.x / ch.y))
+    return float(f_noma(_check_z(z, r2_star), ch.x, ch.y))
 
 
 def tdma_boundary(z: float, ch: ChannelPair) -> float:
     """Weak-user rate on the TDMA segment at strong-user rate z."""
-    r1_star, r2_star = single_user_rates(ch)
-    z = _check_z(z, r2_star)
-    return (1.0 - z / r2_star) * r1_star
+    _, r2_star = single_user_rates(ch)
+    return float(f_tdma(_check_z(z, r2_star), ch.x, ch.y))
 
 
 def noma_boundary_slope(z: float, ch: ChannelPair) -> float:

@@ -6,12 +6,15 @@ import math
 
 import numpy as np
 from scipy.integrate import dblquad
+from scipy.stats import chi2, kstest
 
 from . import analytic, montecarlo, quadrature
 from .events import classify_many
 from .order_stats import PairingConfig, marginal_cdf_n, sample_pairs
 from .regions import (
     ChannelPair,
+    f_noma,
+    f_tdma,
     log2_1p,
     noma_boundary,
     noma_boundary_slope,
@@ -24,8 +27,8 @@ from .regions import (
 AGREEMENT_PAIRS = [(1, 2), (1, 10), (2, 7), (4, 5), (5, 6)]
 AGREEMENT_RHO_DB = [20.0, 25.0, 30.0]
 
-#: coverage of the exact binomial interval the MC frequencies must put around
-#: each closed-form probability: the 3-sigma normal coverage
+#: probability that the exact binomial intervals of the MC frequencies hold
+#: every closed-form value of the grid at once: the 3-sigma normal coverage
 MC_CONFIDENCE = 0.9973
 
 
@@ -53,19 +56,13 @@ def check_propositions(seed: int, samples: int = 1_000_000) -> list[dict]:
     z_lo = np.minimum(z_a, z_b)
     distinct = z_hi > z_lo
 
-    def f_noma(z):
-        return log2_1p(x) - log2_1p(np.expm1(z * math.log(2.0)) * x / y)
-
-    def f_tdma(z):
-        return (1.0 - z / r2_star) * log2_1p(x)
-
     # sum monotonicity: z > z0 implies f^N(z) + z > f^T(z0) + z0
-    lhs = f_noma(z_hi) + z_hi
-    rhs = f_tdma(z_lo) + z_lo
+    lhs = f_noma(z_hi, x, y) + z_hi
+    rhs = f_tdma(z_lo, x, y) + z_lo
     v1 = int(np.sum((lhs <= rhs) & distinct))
 
     # dominance: z < z0 implies f^N(z) > f^T(z0)
-    v2 = int(np.sum((f_noma(z_lo) <= f_tdma(z_hi)) & distinct))
+    v2 = int(np.sum((f_noma(z_lo, x, y) <= f_tdma(z_hi, x, y)) & distinct))
 
     a2 = rng.uniform(0.01, 0.5, samples)
     b2 = rng.uniform(0.01, 0.99, samples)
@@ -170,7 +167,7 @@ def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
 
     rng = np.random.default_rng(seed)
     x, y = sample_pairs(cfg, rng, samples)
-    ks = _ks_statistic(y, lambda t: marginal_cdf_n(t, cfg))
+    ks = kstest(y, lambda t: marginal_cdf_n(t, cfg)).statistic
     crit = 1.628 / math.sqrt(samples)  # 1% critical value
     records.append(_record("orderstats", "sampler_marginal_ks",
                            ks < crit, f"D = {ks:.2e}, 1% critical = {crit:.2e}"))
@@ -189,19 +186,10 @@ def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
     return records
 
 
-def _ks_statistic(samples: np.ndarray, cdf) -> float:
-    s = np.sort(samples)
-    c = cdf(s)
-    k = np.arange(1, len(s) + 1)
-    return float(max(np.max(k / len(s) - c), np.max(c - (k - 1) / len(s))))
-
-
 def _chi_square_pvalue(x: np.ndarray, y: np.ndarray, cfg: PairingConfig,
                        grid: int = 8) -> float:
     """Chi-square of sampled (x, y) against the cell-integrated joint PDF on
     a grid over (exp(-x/rho), exp(-y/rho)); low-count cells are pooled."""
-    from scipy.stats import chi2
-
     rho = cfg.rho
     u = np.exp(-x / rho)
     v = np.exp(-y / rho)
@@ -243,6 +231,11 @@ def _uv_density(u: float, v: float, cfg: PairingConfig) -> float:
 def check_probabilities(seed: int, trials: int = 1_000_000,
                         quad_tol: float = 1e-6, M: int = 10) -> list[dict]:
     """Three-way closed/quadrature/MC agreement over the standard grid."""
+    # Sidak correction: at this per-interval confidence all `count`
+    # intervals of the grid hold their closed-form values at once with
+    # probability MC_CONFIDENCE
+    count = 4 * len(AGREEMENT_PAIRS) * len(AGREEMENT_RHO_DB)
+    confidence = MC_CONFIDENCE ** (1.0 / count)
     records = []
     for (m, n) in AGREEMENT_PAIRS:
         for rho_db in AGREEMENT_RHO_DB:
@@ -259,7 +252,7 @@ def check_probabilities(seed: int, trials: int = 1_000_000,
             # Clopper-Pearson, not the normal stderr: that is 0 for an event
             # never sampled, and rare events (P(E4) ~ 3e-7) often are not
             intervals = [montecarlo.binomial_interval(round(f * trials), trials,
-                                                      MC_CONFIDENCE)
+                                                      confidence)
                          for f in mc.as_tuple()]
             dmc = max(max(lo - p, p - hi) for p, (lo, hi) in
                       zip(closed.as_tuple(), intervals))
@@ -269,7 +262,7 @@ def check_probabilities(seed: int, trials: int = 1_000_000,
             records.append(_record(
                 "probabilities", f"three_way_m{m}_n{n}_rho{rho_db:g}dB", ok,
                 f"|closed-quad| = {dq:.2e}, closed beyond the MC "
-                f"{MC_CONFIDENCE:.2%} interval by {dmc:.2e}"))
+                f"{confidence:.4%} interval by {dmc:.2e}"))
     return records
 
 

@@ -11,7 +11,7 @@ from noma_tdma import (
     InconsistencyError,
     PairingConfig,
     classify_many,
-    constants_for,
+    e2_threshold,
     event_probabilities_closed,
     event_probabilities_quadrature,
     joint_pdf,
@@ -57,7 +57,7 @@ class TestOptimalSplit:
         for rho in rng.uniform(1.0, 1e6, 50):
             a2 = optimal_a2_special(float(rho))
             assert a2 < 0.5
-            d = constants_for(PairingConfig(2, 1, 2, float(rho)), a2).d
+            d = math.exp(-e2_threshold(a2) / rho)
             assert d == pytest.approx(0.5, rel=1e-10)
 
     def test_25db_value(self):
@@ -73,7 +73,7 @@ class TestEps2Closed:
         for M in (2, 5, 10):
             cfg = PairingConfig(M, 1, M, RHO25)
             for a2 in rng.uniform(0.01, 0.5, 10):
-                d = constants_for(cfg, float(a2)).d
+                d = math.exp(-e2_threshold(float(a2)) / cfg.rho)
                 assert p_eps2_closed(cfg, float(a2)) == pytest.approx(
                     p_eps2_special(M, d), abs=1e-10)
 
@@ -91,7 +91,7 @@ class TestEps2Closed:
         # P(E2) = P(x < w2 < y) computed directly from the joint pdf
         cfg = PairingConfig(10, 2, 7, RHO25)
         a2 = 1.0 / math.sqrt(RHO25)
-        w2 = constants_for(cfg, a2).w2
+        w2 = e2_threshold(a2)
         val, _ = dblquad(lambda y, x: joint_pdf(x, y, cfg),
                          1e-12, w2, w2, 50.0 * RHO25,
                          epsabs=1e-10, epsrel=1e-9)
@@ -113,7 +113,7 @@ class TestEps1Closed:
             n = int(rng.integers(m + 1, M + 1))
             cfg = PairingConfig(M, m, n, float(rng.uniform(1.0, 1e4)))
             a2 = float(rng.uniform(0.01, 0.5))
-            w2 = constants_for(cfg, a2).w2
+            w2 = e2_threshold(a2)
             expect = 1.0 - marginal_cdf_n(w2, cfg) - p_eps2_closed(cfg, a2)
             assert event_probabilities_closed(cfg, a2).p1 == pytest.approx(
                 expect, abs=1e-10)
@@ -227,7 +227,7 @@ class TestQuadratureOracle:
         # E2 mass equals P(x < w2 < y) from the joint density
         cfg = PairingConfig(10, 4, 5, RHO25)
         a2 = 1.0 / math.sqrt(RHO25)
-        w2 = constants_for(cfg, a2).w2
+        w2 = e2_threshold(a2)
         val, _ = dblquad(lambda y, x: joint_pdf(x, y, cfg),
                          1e-12, w2, w2, 50.0 * RHO25,
                          epsabs=1e-10, epsrel=1e-9)

@@ -91,6 +91,16 @@ class TestEvents:
         assert doc["records"][0]["method"] == "closed"
 
 
+    @pytest.mark.parametrize("method", ["closed", "all"])
+    def test_closed_form_rejects_unequal_time_split(self, method, capsys):
+        rc = main(["events", "--m", "2", "--n", "7", "--method", method,
+                   "--b2", "0.3"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "b2 = 1/2 only" in captured.err
+
+
 class TestA2Mode:
     @pytest.mark.parametrize("command", [["events", "--m", "2", "--n", "7"],
                                          ["sweep-n"]])
@@ -111,6 +121,14 @@ class TestSweepN:
         assert [int(r[0]) for r in rows] == list(range(2, 11))
         p2 = [float(r[2]) for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(p2, p2[1:]))
+
+    @pytest.mark.parametrize("method", ["closed", "all"])
+    def test_closed_form_rejects_unequal_time_split(self, method, capsys):
+        rc = main(["sweep-n", "--M", "4", "--method", method, "--b2", "0.2"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "b2 = 1/2 only" in captured.err
 
 
 class TestRates:

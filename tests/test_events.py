@@ -7,18 +7,39 @@ from noma_tdma import (
     ChannelPair,
     DegenerateSplitError,
     EventId,
+    InfeasibleSplitError,
     PowerSplit,
     TimeSplit,
     classify_full,
     classify_many,
     classify_reduced,
+    e2_threshold,
     epsilon2_threshold,
     single_user_rates,
 )
-from noma_tdma.regions import noma_rates
+from noma_tdma.regions import noma_rates, tdma_rates
 
 
 HALF = TimeSplit(0.5)
+
+
+def events_by_definition(x, y, a2, b2):
+    """Event ids from the four definitions, and a mask of the draws that lie
+    at least 1e-9 from every tie."""
+    r1n, r2n = noma_rates(x, y, a2)
+    r1t, r2t = tdma_rates(x, y, b2)
+    d1, d2 = r1n - r1t, r2n - r2t
+    dsum = (r1n + r2n) - (r1t + r2t)
+    clear = (np.abs(d1) > 1e-9) & (np.abs(d2) > 1e-9) & (np.abs(dsum) > 1e-9)
+    holds = np.stack([
+        (d1 < 0) & (d2 > 0),                # E1
+        (d1 > 0) & (d2 > 0),                # E2
+        (d1 > 0) & (d2 < 0) & (dsum > 0),   # E3
+        dsum < 0,                           # E4
+    ])
+    # away from ties the four events partition the draws
+    assert np.all(holds.sum(axis=0)[clear] == 1)
+    return np.argmax(holds, axis=0) + 1, clear
 
 
 class TestClassifyFull:
@@ -37,6 +58,9 @@ class TestClassifyFull:
         ch = ChannelPair(1.0, 3.0)
         with pytest.raises(DegenerateSplitError):
             classify_full(ch, PowerSplit(0.0), HALF)
+        for classify in (classify_full, classify_reduced):
+            with pytest.raises(InfeasibleSplitError):
+                classify(ch, PowerSplit(0.6), HALF)
         for b2 in (0.0, 1.0):
             with pytest.raises(DegenerateSplitError):
                 classify_full(ch, PowerSplit(0.25), TimeSplit(b2))
@@ -57,21 +81,45 @@ class TestEquivalence:
         assert np.array_equal(full, red)
 
     def test_scalar_vector_consistency(self):
+        # the scalar and vector classifiers, full and reduced, against the
+        # event definitions written out from the rates
         rng = np.random.default_rng(22)
-        for _ in range(200):
-            x = float(rng.uniform(0.1, 30.0))
-            y = x * (1 + float(rng.uniform(0.01, 10.0)))
-            a2 = float(rng.uniform(0.01, 0.5))
-            b2 = float(rng.uniform(0.01, 0.99))
-            scalar = classify_full(ChannelPair(x, y), PowerSplit(a2),
-                                   TimeSplit(b2))
-            vec = classify_many(np.array([x]), np.array([y]), a2, b2)
-            assert scalar.value == vec[0]
+        N = 20_000
+        x = rng.uniform(0.1, 30.0, N)
+        y = x * (1 + rng.uniform(0.01, 10.0, N))
+        a2 = rng.uniform(0.01, 0.5, N)
+        b2 = rng.uniform(0.01, 0.99, N)
+        expected, clear = events_by_definition(x, y, a2, b2)
+        assert clear.mean() > 0.99
+        for reduced in (False, True):
+            labels = classify_many(x, y, a2, b2, reduced=reduced)
+            assert np.array_equal(labels[clear], expected[clear])
+        for i in np.flatnonzero(clear)[:200]:
+            args = (ChannelPair(x[i], y[i]), PowerSplit(a2[i]),
+                    TimeSplit(b2[i]))
+            assert classify_full(*args).value == expected[i]
+            assert classify_reduced(*args).value == expected[i]
+
+    def test_tie_breaks_toward_lower_event(self):
+        # R2N = log2(1.75) = R2T exactly, so both E2 and E3 match
+        x, y, a2, b2 = 1.0, 3.0, 0.25, math.log2(1.75) / 2.0
+        r1n, r2n = noma_rates(x, y, a2)
+        r1t, r2t = tdma_rates(x, y, b2)
+        assert r2n - r2t == 0.0 and r1n > r1t
+        args = (ChannelPair(x, y), PowerSplit(a2), TimeSplit(b2))
+        assert classify_full(*args) == EventId.E2
+        assert classify_reduced(*args) == EventId.E2
+        for reduced in (False, True):
+            assert classify_many([x], [y], a2, b2, reduced=reduced)[0] == 2
 
 
 class TestEpsilon2Threshold:
     def test_w2_arithmetic(self):
         # a2 = 1/4 gives w2 = 8
+        assert e2_threshold(0.25) == 8.0
+        for a2 in (0.0, 0.6):
+            with pytest.raises(DegenerateSplitError):
+                e2_threshold(a2)
         assert epsilon2_threshold(ChannelPair(1.0, 20.0), PowerSplit(0.25))
         assert not epsilon2_threshold(ChannelPair(1.0, 3.0), PowerSplit(0.25))
 
@@ -82,13 +130,16 @@ class TestEpsilon2Threshold:
 
     def test_matches_classifier_at_equal_time_split(self):
         rng = np.random.default_rng(23)
-        for _ in range(20_000):
-            x = float(rng.uniform(0.05, 50.0))
-            y = x * (1 + float(rng.uniform(1e-3, 30.0)))
-            a2 = float(rng.uniform(0.01, 0.5))
-            ch = ChannelPair(x, y)
-            is_e2 = classify_full(ch, PowerSplit(a2), HALF) == EventId.E2
-            assert is_e2 == epsilon2_threshold(ch, PowerSplit(a2))
+        N = 20_000
+        x = rng.uniform(0.05, 50.0, N)
+        y = x * (1 + rng.uniform(1e-3, 30.0, N))
+        a2 = rng.uniform(0.01, 0.5, N)
+        w2 = (1.0 - 2.0 * a2) / a2**2
+        is_e2 = classify_many(x, y, a2, 0.5) == EventId.E2.value
+        assert np.array_equal(is_e2, (x < w2) & (w2 < y))
+        for i in range(200):
+            ch = ChannelPair(x[i], y[i])
+            assert epsilon2_threshold(ch, PowerSplit(a2[i])) == is_e2[i]
 
 
 class TestGeometry:

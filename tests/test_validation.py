@@ -16,3 +16,11 @@ class TestProbabilityAgreement:
         assert mc.p4 == 0.0 and p_eps4_closed(cfg, a2) > 0.0
         [record] = validation.check_probabilities(42, trials=100_000)
         assert record["passed"], record["detail"]
+
+    def test_grid_is_judged_family_wise(self):
+        # 60 intervals at 99.73% each fail an exact sampler on about one seed
+        # in ten; seed 3 draws P(E4) 3.2 sigma out at (1,2) 20 dB
+        records = validation.check_probabilities(3, quad_tol=1e-4)
+        assert len(records) == 15
+        assert all(r["passed"] for r in records), \
+            [r["detail"] for r in records if not r["passed"]]
