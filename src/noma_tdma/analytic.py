@@ -1,25 +1,30 @@
 """Closed-form event probabilities for the equal time split b2 = 1/2.
 
-The alternating binomial series are accumulated as exact rational
-coefficients of the polynomial in d = exp(-w2/rho) and only evaluated in
-floating point at the end, so they stay accurate even where the naive
-term-by-term sums cancel catastrophically (for example at d = 1).
+At b2 = 1/2 the E2 event is the threshold event x < w2 < y.  With
+K ~ Binomial(M, F(w2)) the number of the M gains below w2, x < w2 iff
+K >= m and y > w2 iff K <= n-1, so P(y > w2) and P(E2) are binomial CDFs.
+P(E4) is P(y < sqrt(1+w2) - 1) plus a 1-D integral over y whose
+conditional inner probability is a regularized incomplete beta
+(David & Nagaraja, *Order Statistics*, section 2).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from scipy.integrate import quad
+from scipy.special import bdtr, bdtrc, betainc
 
 from .events import e2_threshold
 from .order_stats import PairingConfig
 
 LN2 = math.log(2.0)
 
-#: slack used when clamping a series result to the unit interval
+#: slack used when clamping a rounded or integrated result to the unit interval
 CLAMP_TOL = 1e-9
+
+#: absolute and relative tolerance of the 1-D P(E4) integral
+QUAD_TOL = 1e-12
 
 #: slack allowed on the complement identity before declaring inconsistency
 COMPLEMENT_TOL = 1e-6
@@ -61,11 +66,6 @@ class EventProbabilities:
         return (self.p1, self.p2, self.p3, self.p4)
 
 
-def _fsum_desc(terms) -> float:
-    """Exact-compensated sum, largest magnitudes first."""
-    return math.fsum(sorted(terms, key=abs, reverse=True))
-
-
 def _clamp_probability(p: float, what: str) -> float:
     if p < -CLAMP_TOL or p > 1.0 + CLAMP_TOL:
         raise InconsistencyError(f"{what} = {p} outside [0, 1]")
@@ -101,102 +101,57 @@ def optimal_a2_special(rho: float) -> float:
 # general pairing closed forms (b2 = 1/2)
 # ---------------------------------------------------------------------------
 
-def _eps2_poly_coeffs(cfg: PairingConfig) -> dict[int, Fraction]:
-    """Exact rational coefficients of P(E2) as a polynomial in d.
-
-    The alternating binomial sums cancel catastrophically in floating point
-    (most visibly at d = 1, where the value is exactly 0), so coefficients
-    are accumulated as exact fractions, keyed by the power of d.
-    """
-    M, m, n = cfg.M, cfg.m, cfg.n
-    coeffs: dict[int, Fraction] = {}
-    for k in range(m):
-        sign_k = -1 if (m - 1 - k) % 2 else 1
-        base = Fraction(sign_k * cfg.w1 * math.comb(m - 1, k), n - 1 - k)
-        # Q1 contribution
-        for i in range(n):
-            s = -1 if (n - 1 - i) % 2 else 1
-            coeffs[M - i] = coeffs.get(M - i, Fraction(0)) \
-                + base * s * Fraction(math.comb(n - 1, i), M - i)
-        # -Q_{2,k} contribution
-        for i in range(k + 1):
-            for j in range(n - k):
-                s = -1 if (n - 1 - i - j) % 2 else 1
-                coeffs[M - i] = coeffs.get(M - i, Fraction(0)) \
-                    - base * s * Fraction(
-                        math.comb(k, i) * math.comb(n - 1 - k, j), M - i - j)
-    return coeffs
+def _threshold_cdf(cfg: PairingConfig, a2: float) -> float:
+    """F(w2): probability that one gain lies below the E2 threshold."""
+    return -math.expm1(-e2_threshold(a2) / cfg.rho)
 
 
 def p_eps2_closed(cfg: PairingConfig, a2: float) -> float:
     """P(E2) = P(x < w2 < y): NOMA beats naive TDMA on both individual rates.
 
-    Alternating double/triple binomial series in d = exp(-w2/rho); the outer
-    k-term carries the 1/(n-1-k) factor from the underlying Beta integral.
+    P(m <= K <= n-1) for K ~ Binomial(M, F(w2)).
     """
-    logd = -e2_threshold(a2) / cfg.rho
-    terms = [float(coef) * math.exp(power * logd)
-             for power, coef in _eps2_poly_coeffs(cfg).items()]
-    return _clamp_probability(_fsum_desc(terms), "P(E2)")
+    q = _threshold_cdf(cfg, a2)
+    # the difference of two CDFs can land a few ulp below zero
+    return _clamp_probability(
+        float(bdtr(cfg.n - 1, cfg.M, q) - bdtr(cfg.m - 1, cfg.M, q)), "P(E2)")
 
 
 def strong_user_tail(cfg: PairingConfig, a2: float) -> float:
-    """P(y > w2): upper tail of the n-th order statistic at the E2 threshold.
-
-    The constant part of the alternating series (1 - w3*sum(...)) cancels to
-    exactly zero, so only the powers of d are evaluated in floating point.
-    """
-    M, n = cfg.M, cfg.n
-    logd = -e2_threshold(a2) / cfg.rho
-    terms = []
-    for i in range(n):
-        s = -1 if i % 2 else 1
-        coef = s * cfg.w3 * Fraction(math.comb(n - 1, i), M - n + i + 1)
-        terms.append(float(coef) * math.exp((M - n + i + 1) * logd))
-    return _clamp_probability(_fsum_desc(terms), "P(y > w2)")
+    """P(y > w2) = P(K <= n-1): fewer than n of the M gains lie below w2."""
+    return float(bdtr(cfg.n - 1, cfg.M, _threshold_cdf(cfg, a2)))
 
 
-def p_eps4_closed(cfg: PairingConfig, a2: float, quad_tol: float = 1e-8) -> float:
+def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     """P(E4) = P(sum_N < sum_T): TDMA beats NOMA on the sum rate.
 
-    1 - P(y > w2) - P(sum_N > sum_T, y < w2); the second term is a single
-    1-D integral over y in [sqrt(w2+1)-1, w2], where given y the sum
-    comparison flips at x = (w2 - y)/(1 + y).
+    E4 holds whenever y < lo = sqrt(1+w2) - 1, and for y in [lo, w2] when
+    x < g(y) = (w2 - y)/(1 + y).  Given y, the other n-1 gains below y are
+    i.i.d. with CDF F/F(y), so P(x < g | y) = I_{F(g)/F(y)}(m, n-m).
     """
-    if not 1e-12 <= quad_tol <= 1e-4:
-        raise ValueError(f"quad_tol must lie in [1e-12, 1e-4], got {quad_tol}")
     M, m, n, rho = cfg.M, cfg.m, cfg.n, cfg.rho
     w2 = e2_threshold(a2)
     lo = math.sqrt(w2 + 1.0) - 1.0
-    hi = w2
-    if hi > lo:
-        coeffs = [(-1.0 if i % 2 else 1.0) * math.comb(n - 1 - m, i) / (m + i)
-                  for i in range(n - m)]
+    below_lo = float(bdtrc(n - 1, M, -math.expm1(-lo / rho)))
+    if w2 <= lo:
+        return _clamp_probability(below_lo, "P(E4)")
 
-        def integrand(yv: float) -> float:
-            Fy = -math.expm1(-yv / rho)
-            fy = math.exp(-yv / rho) / rho
-            g = (w2 - yv) / (1.0 + yv)
-            Fg = -math.expm1(-g / rho)
-            acc = 0.0
-            for i, coef in enumerate(coeffs):
-                acc += coef * Fy**(n - 1 - m - i) * (Fy**(m + i) - Fg**(m + i))
-            return fy * (1.0 - Fy)**(M - n) * acc
+    def integrand(yv: float) -> float:
+        Fy = -math.expm1(-yv / rho)
+        Fg = -math.expm1(-(w2 - yv) / (1.0 + yv) / rho)
+        density = cfg.w3 * Fy**(n - 1) * math.exp(-(M - n + 1) * yv / rho) / rho
+        return density * betainc(m, n - m, Fg / Fy)
 
-        val, err = quad(integrand, lo, hi, epsabs=quad_tol, epsrel=quad_tol,
-                        limit=500)
-        if err > max(10.0 * quad_tol, 10.0 * quad_tol * abs(val)):
-            raise ConvergenceError(
-                f"1-D quadrature error estimate {err} above tolerance {quad_tol}")
-        integral = cfg.w1 * val
-    else:
-        integral = 0.0
-    return _clamp_probability(
-        1.0 - integral - strong_user_tail(cfg, a2), "P(E4)")
+    val, err = quad(integrand, lo, w2, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
+                    limit=500)
+    if err > max(10.0 * QUAD_TOL, 10.0 * QUAD_TOL * abs(val)):
+        raise ConvergenceError(
+            f"1-D quadrature error estimate {err} above tolerance {QUAD_TOL}")
+    # the integral's own error can carry the sum a hair past 1
+    return _clamp_probability(below_lo + val, "P(E4)")
 
 
-def event_probabilities_closed(cfg: PairingConfig, a2: float,
-                               quad_tol: float = 1e-8) -> EventProbabilities:
+def event_probabilities_closed(cfg: PairingConfig, a2: float) -> EventProbabilities:
     """All four closed-form probabilities, normalized by construction.
 
     P(E1) = P(R2N > R2T) - P(E2) = P(y > w2) - P(E2), and P(E3) is the
@@ -205,7 +160,7 @@ def event_probabilities_closed(cfg: PairingConfig, a2: float,
     tail = strong_user_tail(cfg, a2)
     p2 = p_eps2_closed(cfg, a2)
     p1 = _clamp_probability(tail - p2, "P(E1)")
-    p4 = p_eps4_closed(cfg, a2, quad_tol)
+    p4 = p_eps4_closed(cfg, a2)
     p3 = 1.0 - p1 - p2 - p4
     if p3 < -COMPLEMENT_TOL or p3 > 1.0 + COMPLEMENT_TOL:
         raise InconsistencyError(

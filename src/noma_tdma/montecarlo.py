@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .analytic import EventProbabilities
 from .events import classify_many
@@ -116,9 +116,9 @@ def binomial_interval(successes: int, trials: int,
     within 10/trials of 0 or 1."""
     alpha = 1.0 - confidence
     lo = 0.0 if successes == 0 else \
-        float(beta_dist.ppf(alpha / 2, successes, trials - successes + 1))
+        float(betaincinv(successes, trials - successes + 1, alpha / 2))
     hi = 1.0 if successes == trials else \
-        float(beta_dist.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lo, hi
 
 

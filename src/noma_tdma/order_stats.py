@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import bdtrc
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,7 @@ def marginal_cdf_n(t, cfg: PairingConfig):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0.0):
         raise ValueError("t must be nonnegative")
-    M, n = cfg.M, cfg.n
-    F = -np.expm1(-t / cfg.rho)
-    out = np.zeros_like(F)
-    for i in range(n, M + 1):
-        out = out + math.comb(M, i) * F**i * (1.0 - F)**(M - i)
+    out = bdtrc(cfg.n - 1, cfg.M, -np.expm1(-t / cfg.rho))
     return float(out) if out.ndim == 0 else out
 
 

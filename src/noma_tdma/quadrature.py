@@ -124,9 +124,7 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
     if tol < 1e-10:
         raise ValueError(f"tol must be >= 1e-10, got {tol}")
     M, m = cfg.M, cfg.m
-    logw1 = (math.lgamma(M + 1) - math.lgamma(m) - math.lgamma(cfg.n - m)
-             - math.lgamma(M - cfg.n + 1))
-    w1 = math.exp(logw1)
+    w1 = float(cfg.w1)
 
     def weight(u: float) -> float:
         return w1 * (1.0 - u)**(m - 1) * u**(M - m)

@@ -135,13 +135,6 @@ class TestEps1Closed:
 
 
 class TestEps4Closed:
-    def test_quad_tol_validation(self):
-        cfg = PairingConfig(10, 2, 7, RHO25)
-        with pytest.raises(ValueError):
-            p_eps4_closed(cfg, 0.25, quad_tol=1e-13)
-        with pytest.raises(ValueError):
-            p_eps4_closed(cfg, 0.25, quad_tol=1e-3)
-
     def test_boundary_split_vanishes(self):
         # w2 = 0 empties both the integration interval and the event
         assert p_eps4_closed(PairingConfig(10, 2, 7, RHO25), 0.5) == 0.0
@@ -171,15 +164,15 @@ class TestEps3AndDistribution:
 
     @pytest.mark.parametrize("cfg, a2, expect", [
         (PairingConfig(10, 2, 7, RHO25), 1.0 / math.sqrt(RHO25),
-         ("0x1.183088fb15a00p-9", "0x1.49efe61209760p-1",
-          "0x1.69b6797d6f39cp-2", "0x1.caca643d78000p-13")),
+         ("0x1.183088fb15a00p-9", "0x1.49efe6120978ep-1",
+          "0x1.69b6797d9bd16p-2", "0x1.caca62d88cdb9p-13")),
         (PairingConfig(20, 5, 6, 100.0), 0.1,
-         ("0x1.8980d241dac78p-10", "0x1.3c1e8d9e2a5f2p-8",
-          "0x1.f9c23da308358p-1", "0x1.80626c4d442f0p-8")),
+         ("0x1.8980d241dac14p-10", "0x1.3c1e8d9e2a664p-8",
+          "0x1.f9c23da8b438cp-1", "0x1.80626977428a0p-8")),
     ], ids=["M10_m2_n7_25dB", "M20_m5_n6_20dB"])
     def test_pinned_output(self, cfg, a2, expect):
-        # exact values: deriving P(E1) and P(E3) from one evaluation of each
-        # series must not move a bit
+        # exact values, within 2.3e-16 of 40-digit mpmath: any change to the
+        # binomial CDFs, the P(E4) integrand or its tolerance moves the bits
         probs = event_probabilities_closed(cfg, a2)
         assert tuple(p.hex() for p in probs.as_tuple()) == expect
 
@@ -198,15 +191,79 @@ class TestEps3AndDistribution:
             monkeypatch.setattr(analytic, name, counting(name))
         event_probabilities_closed(PairingConfig(10, 2, 7, RHO25),
                                    1.0 / math.sqrt(RHO25))
-        # P(y > w2) once for P(E1) and once inside P(E4)
         assert calls == {"p_eps2_closed": 1, "p_eps4_closed": 1,
-                         "strong_user_tail": 2}
+                         "strong_user_tail": 1}
 
     def test_invalid_distribution_rejected(self):
         with pytest.raises(InconsistencyError):
             EventProbabilities(0.5, 0.5, 0.5, 0.5, method="closed_form")
         with pytest.raises(InconsistencyError):
             EventProbabilities(1.2, -0.2, 0.0, 0.0, method="closed_form")
+
+
+def _mpmath_event_probs(M, m, n, rho, a2):
+    """[P(E1), ..., P(E4)] at 40 digits for the float inputs, from the
+    binomial count of gains below w2 and, for P(E4), the integral over the
+    n-th order statistic y of P(x < (w2 - y)/(1 + y) | y)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        rho, a2 = mp.mpf(rho), mp.mpf(a2)
+        w2 = (1 - 2 * a2) / a2**2
+
+        def F(t):
+            return -mp.expm1(-t / rho)
+
+        def pmf(k, q):
+            return mp.binomial(M, k) * q**k * (1 - q)**(M - k)
+
+        q = F(w2)
+        p1 = mp.fsum(pmf(k, q) for k in range(m))
+        p2 = mp.fsum(pmf(k, q) for k in range(m, n))
+        lo = mp.sqrt(1 + w2) - 1
+        below_lo = mp.fsum(pmf(k, F(lo)) for k in range(n, M + 1))
+
+        def integrand(y):
+            Fy = F(y)
+            share = mp.betainc(m, n - m, 0, F((w2 - y) / (1 + y)) / Fy,
+                               regularized=True)
+            return (n * mp.binomial(M, n) * Fy**(n - 1) * (1 - Fy)**(M - n)
+                    * mp.exp(-y / rho) / rho * share)
+
+        p4 = below_lo + mp.quad(integrand, mp.linspace(lo, w2, 5))
+        return [float(p) for p in (p1, p2, 1 - p1 - p2 - p4, p4)]
+
+
+def _large_m_points():
+    points = [(200, 50, 150, 25.0, "inv_sqrt_rho"),
+              (200, 1, 200, 25.0, "inv_sqrt_rho"),
+              (200, 199, 200, 25.0, "inv_sqrt_rho"),
+              (80, 40, 41, 25.0, "inv_sqrt_rho"),
+              (30, 7, 22, 25.0, "special"),
+              # a2 near 1/2 keeps w2 small, so P(E4) is far from 0 at large M
+              (200, 20, 50, 10.0, 0.3),
+              (120, 30, 60, 5.0, 0.4)]
+    rng = np.random.default_rng(2015)
+    modes = ["inv_sqrt_rho", "special", "fixed"]
+    for _ in range(10):
+        M = int(rng.integers(2, 201))
+        m = int(rng.integers(1, M))
+        n = int(rng.integers(m + 1, M + 1))
+        rho_db = round(float(rng.uniform(0.0, 60.0)), 1)
+        mode = modes[int(rng.integers(3))]
+        if mode == "fixed":
+            mode = round(float(rng.uniform(0.05, 0.5)), 3)
+        points.append((M, m, n, rho_db, mode))
+    return points
+
+
+@pytest.mark.parametrize("M, m, n, rho_db, a2_mode", _large_m_points())
+def test_closed_forms_match_mpmath_up_to_m200(M, m, n, rho_db, a2_mode):
+    rho = 10.0**(rho_db / 10.0)
+    a2 = {"inv_sqrt_rho": 1.0 / math.sqrt(rho),
+          "special": optimal_a2_special(rho)}.get(a2_mode, a2_mode)
+    expect = _mpmath_event_probs(M, m, n, rho, a2)
+    probs = event_probabilities_closed(PairingConfig(M, m, n, rho), a2)
+    assert probs.as_tuple() == pytest.approx(expect, abs=1e-12)
 
 
 class TestQuadratureOracle:
@@ -244,11 +301,11 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("cfg, a2, b2, tol, expect", [
         (PairingConfig(6, 2, 5, 100.0), 0.2, 0.3, 1e-5,
-         ("0x1.fd9524de57c17p-1", "0x1.356d5e68d4ccfp-8",
-          "0x1.333829dc05fcbp-27", "0x1.8088b7bbc6827p-29")),
+         ("0x1.fd9524de57c07p-1", "0x1.356d5e68d4cc5p-8",
+          "0x1.333829dc05fc0p-27", "0x1.8088b7bbc681ap-29")),
         (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
-         ("0x1.05f3f760d49e5p-4", "0x1.f598f1d1a2c08p-4",
-          "0x1.a07d27dbcb426p-1", "0x1.13afde5d11656p-13")),
+         ("0x1.05f3f760d49eap-4", "0x1.f598f1d1a2c16p-4",
+          "0x1.a07d27dbcb430p-1", "0x1.13afde5d1165cp-13")),
     ], ids=["b2_0.3", "m4_n5_25dB"])
     def test_pinned_output(self, cfg, a2, b2, tol, expect):
         # exact values: any change to the panels refined, their order or the

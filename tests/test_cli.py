@@ -91,6 +91,18 @@ class TestEvents:
         assert doc["records"][0]["method"] == "closed"
 
 
+    def test_closed_form_at_large_population(self, tmp_path):
+        # P(E4) is 2.2e-14 here: a result that cancels to a few ulp of the
+        # summands lands below zero and is rejected as inconsistent
+        out = tmp_path / "events.csv"
+        rc = main(["events", "--M", "30", "--m", "7", "--n", "22",
+                   "--rho-db", "25", "--a2-mode", "special",
+                   "--method", "closed", "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_csv(out)
+        assert math.fsum(float(v) for v in rows[0][3:7]) == pytest.approx(
+            1.0, abs=1e-9)
+
     @pytest.mark.parametrize("method", ["closed", "all"])
     def test_closed_form_rejects_unequal_time_split(self, method, capsys):
         rc = main(["events", "--m", "2", "--n", "7", "--method", method,
