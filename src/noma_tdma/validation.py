@@ -165,7 +165,7 @@ def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
                            abs(mass - 1.0) <= 1e-6,
                            f"integral = {mass:.9f}"))
 
-    # scipy.stats adds ~20 MB and ~0.2 s to the import of every command, and
+    # scipy.stats adds ~20 MB and ~0.6 s to the import of every command, and
     # only this check uses it
     from scipy.stats import kstest
 
