@@ -142,8 +142,10 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
         density = cfg.w3 * Fy**(n - 1) * math.exp(-(M - n + 1) * yv / rho) / rho
         return density * betainc(m, n - m, Fg / Fy)
 
-    val, err = quad(integrand, lo, w2, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
-                    limit=500)
+    # full_output keeps scipy from warning on its own heuristics (e.g.
+    # "probably divergent"); the error estimate is judged below instead
+    val, err, *_ = quad(integrand, lo, w2, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
+                        limit=500, full_output=1)
     if err > max(10.0 * QUAD_TOL, 10.0 * QUAD_TOL * abs(val)):
         raise ConvergenceError(
             f"1-D quadrature error estimate {err} above tolerance {QUAD_TOL}")

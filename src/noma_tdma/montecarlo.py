@@ -131,16 +131,21 @@ def estimate_average_rates(cfg: PairingConfig, a2: float, b2: float,
         r1n, r2n = noma_rates(x, y, a2)
         r1t, r2t = tdma_rates(x, y, b2)
         rates = np.stack([r1n, r2n, r1t, r2t])
-        return np.stack([rates.sum(axis=1), (rates**2).sum(axis=1)])
+        sums = rates.sum(axis=1)
+        # squares about the block mean: E[r^2] - E[r]^2 cancels when the
+        # rates barely vary (at high SNR r1_noma is nearly log2(1/a2))
+        rates -= (sums / count)[:, None]
+        return np.stack([sums, np.square(rates, out=rates).sum(axis=1)])
 
     partials = _run_blocks(run, mc)
     sums = np.zeros(4)
-    sqsums = np.zeros(4)
     for part in partials:  # ordered fold keeps the result scheduler-independent
         sums += part[0]
-        sqsums += part[1]
     N = mc.trials
     means = sums / N
-    var = np.maximum(sqsums / N - means**2, 0.0)
-    stderr = np.sqrt(var / N)
+    # pooled squares about the overall mean: within-block plus between-block
+    sq = np.zeros(4)
+    for (_, count), part in zip(_blocks(N), partials):
+        sq += part[1] + count * (part[0] / count - means)**2
+    stderr = np.sqrt(sq / N / N)
     return AverageRates(*map(float, means), stderr=tuple(map(float, stderr)))

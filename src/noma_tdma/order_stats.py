@@ -39,6 +39,16 @@ class PairingConfig:
             * math.factorial(self.M - self.n))
 
     @property
+    def u_shape(self) -> tuple[int, int]:
+        """Beta shape (M-m+1, m) of u = exp(-x/rho)."""
+        return self.M - self.m + 1, self.m
+
+    @property
+    def s_shape(self) -> tuple[int, int]:
+        """Beta shape (M-n+1, n-m) of s = exp(-(y-x)/rho), independent of u."""
+        return self.M - self.n + 1, self.n - self.m
+
+    @property
     def w3(self) -> int:
         """n-th order-statistic normalization M!/((n-1)!(M-n)!)."""
         return math.factorial(self.M) // (
@@ -48,20 +58,23 @@ class PairingConfig:
 def joint_pdf(x, y, cfg: PairingConfig):
     """Joint density of the paired order statistics at (x, y); zero for x >= y.
 
-    f(x, y) = w1 f(x) f(y) F(x)^(m-1) [1-F(y)]^(M-n) [F(y)-F(x)]^(n-1-m)
-    with f, F the exponential(mean rho) pdf/cdf.  Accepts scalars or arrays.
+    With u = exp(-x/rho) ~ Beta(cfg.u_shape) and s = exp(-(y-x)/rho) ~
+    Beta(cfg.s_shape) independent (Renyi 1953), and dx dy = rho^2/(u s) du ds,
+
+        f(x, y) = w1/rho^2 u^a_u (1-u)^(b_u-1) s^a_s (1-s)^(b_s-1)
+
+    where w1 = 1/(B(u_shape) B(s_shape)).  Accepts scalars or arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("SNR arguments must be positive")
-    M, m, n, rho = cfg.M, cfg.m, cfg.n, cfg.rho
-    ux = np.exp(-x / rho)          # 1 - F(x)
-    uy = np.exp(-y / rho)
-    dens = (cfg.w1 / rho**2 * ux * uy
-            * (1.0 - ux)**(m - 1)
-            * uy**(M - n)
-            * np.maximum(ux - uy, 0.0)**(n - 1 - m))
+    (a_u, b_u), (a_s, b_s) = cfg.u_shape, cfg.s_shape
+    u = np.exp(-x / cfg.rho)
+    # clipped so that exp cannot overflow where x >= y; those are zeroed below
+    s = np.exp(-np.maximum(y - x, 0.0) / cfg.rho)
+    dens = (cfg.w1 / cfg.rho**2 * u**a_u * (1.0 - u)**(b_u - 1)
+            * s**a_s * (1.0 - s)**(b_s - 1))
     out = np.where(x < y, dens, 0.0)
     return float(out) if out.ndim == 0 else out
 

@@ -1,18 +1,16 @@
 """Deterministic quadrature oracle for the event probabilities.
 
 The joint order-statistic density is pushed through u = exp(-x/rho),
-s = exp(-(y-x)/rho) (i.e. s = v/u with v = exp(-y/rho)), which maps the
-support 0 < x < y onto the open unit square and turns the density into the
-separable polynomial
-
-    w1 (1-u)^(m-1) u^(M-m) * s^(M-n) (1-s)^(n-1-m).
+s = exp(-(y-x)/rho), which maps the support 0 < x < y onto the open unit
+square, where u ~ Beta(cfg.u_shape) and s ~ Beta(cfg.s_shape) are
+independent (see `order_stats.joint_pdf`).
 
 For a fixed u the weak-user SNR x is fixed, so the event label along the
 s-direction changes at a handful of points only; those are located by
-bisection on the (black-box) classifier and each labelled segment is
-integrated exactly via the regularized incomplete beta function.  The outer
-u-integral is then done with adaptive Gauss-Legendre panels refined near the
-kinks the event boundaries induce.
+bisection on the (black-box) classifier and the mass of each labelled
+segment is a difference of the Beta(s_shape) CDF `betainc`.  The outer
+u-integral against the Beta(u_shape) density is then done with adaptive
+Gauss-Legendre panels refined near the kinks the event boundaries induce.
 
 Every u-column of one refinement step is classified together: one
 classifier call on the (columns x probes) grid, then one call per bisection
@@ -25,7 +23,7 @@ import heapq
 import math
 
 import numpy as np
-from scipy.special import betainc, beta as beta_fn
+from scipy.special import betainc, betaln
 
 from .analytic import ConvergenceError, EventProbabilities
 from .events import classify_many
@@ -49,12 +47,10 @@ _SPROBES = _s_probe_grid()
 
 def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
                    b2: float) -> np.ndarray:
-    """Row c integrates s^(M-n)(1-s)^(n-1-m) over each event's share of s in
-    (0,1) at u = us[c]; shape (len(us), 4)."""
+    """Row c is the Beta(s_shape) mass of each event's share of s in (0,1)
+    at u = us[c]; shape (len(us), 4)."""
     rho = cfg.rho
-    x = np.array([-rho * math.log(u) for u in us])
-    a_b, b_b = cfg.M - cfg.n + 1, cfg.n - cfg.m  # beta parameters of the s-factor
-    bfull = beta_fn(a_b, b_b)
+    x = -rho * np.log(us)
 
     s = _SPROBES
     labels = classify_many(x[:, None], x[:, None] - rho * np.log(s), a2, b2)
@@ -78,11 +74,11 @@ def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
     n_seg = np.bincount(col, minlength=x.size) + 1
     seg_col = np.repeat(np.arange(x.size), n_seg)
     closes = np.arange(col.size) + col
-    cdf = bfull * betainc(a_b, b_b, np.concatenate(([0.0, 1.0], cuts)))
-    upper = np.full(seg_col.size, cdf[1])
-    upper[closes] = cdf[2:]
-    lower = np.full(seg_col.size, cdf[0])
-    lower[closes + 1] = cdf[2:]
+    cdf = betainc(*cfg.s_shape, cuts)
+    upper = np.ones(seg_col.size)
+    upper[closes] = cdf
+    lower = np.zeros(seg_col.size)
+    lower[closes + 1] = cdf
     seg_labels = np.repeat(labels[:, -1], n_seg)
     seg_labels[closes] = left_label
 
@@ -96,19 +92,19 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _gauss8(panels: list[tuple[float, float]], cfg: PairingConfig, a2: float,
-            b2: float, weight_fn) -> list[np.ndarray]:
-    """8-node Gauss-Legendre estimates (4-vectors of events) of u-panels
-    (lo, hi), with the columns of all panels computed in one batch."""
-    nodes = [(0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES,
-              0.5 * (hi - lo) * _GL_WEIGHTS) for lo, hi in panels]
-    masses = _column_masses(np.concatenate([u for u, _ in nodes]), cfg, a2, b2)
-    estimates = []
-    for j, (u, w) in enumerate(nodes):
-        acc = np.zeros(4)
-        for ui, wi, colmass in zip(u, w, masses[j * _GL_NODES.size:]):
-            acc += wi * weight_fn(ui) * colmass
-        estimates.append(acc)
-    return estimates
+            b2: float) -> np.ndarray:
+    """8-node Gauss-Legendre estimates of u-panels (lo, hi) against the
+    Beta(u_shape) density; row j holds the 4 event masses of panels[j].  The
+    columns of all panels are computed in one batch."""
+    lo, hi = np.array(panels).T[:, :, None]
+    u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES
+    a, b = cfg.u_shape
+    # in logs: B(a, b) underflows from M ~ 1,000 on
+    density = np.exp((a - 1) * np.log(u) + (b - 1) * np.log1p(-u)
+                     - betaln(a, b))
+    w = 0.5 * (hi - lo) * _GL_WEIGHTS * density
+    masses = _column_masses(u.ravel(), cfg, a2, b2).reshape(*u.shape, 4)
+    return (w[:, :, None] * masses).sum(axis=1)
 
 
 def _halves(lo: float, hi: float) -> list[tuple[float, float]]:
@@ -123,12 +119,6 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
     density against the classifier indicator.  Deterministic for fixed tol."""
     if tol < 1e-10:
         raise ValueError(f"tol must be >= 1e-10, got {tol}")
-    M, m = cfg.M, cfg.m
-    w1 = float(cfg.w1)
-
-    def weight(u: float) -> float:
-        return w1 * (1.0 - u)**(m - 1) * u**(M - m)
-
     # adaptive bisected Gauss: error of a panel is |whole - (left + right)|,
     # refined breadth-first by a worst-first heap with a global budget
     heap = []
@@ -145,7 +135,7 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
     n_start = 8
     starts = [(i / n_start, (i + 1) / n_start) for i in range(n_start)]
     est = _gauss8(starts + [h for lo, hi in starts for h in _halves(lo, hi)],
-                  cfg, a2, b2, weight)
+                  cfg, a2, b2)
     for (lo, hi), whole, left, right in zip(starts, est[:n_start],
                                             est[n_start::2], est[n_start + 1::2]):
         push(lo, hi, whole, left, right)
@@ -161,7 +151,7 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
                 f"estimate {total_err:.3e} (panels refined: {refined})")
         _, _, lo, mid, hi, left, right = heapq.heappop(heap)
         ll, lr, rl, rr = _gauss8(_halves(lo, mid) + _halves(mid, hi),
-                                 cfg, a2, b2, weight)
+                                 cfg, a2, b2)
         push(lo, mid, left, ll, lr)
         push(mid, hi, right, rl, rr)
         refined += 1

@@ -115,6 +115,12 @@ def f_noma(z, x, y):
     return log2_1p(x) - log2_1p(np.expm1(z * LN2) * x / y)
 
 
+def f_noma_slope(z, x, y):
+    """Derivative of f^N at z: -x 2^z / (y - x + x 2^z)."""
+    p = np.exp2(z) * x
+    return -p / (y - x + p)
+
+
 def f_tdma(z, x, y):
     """Weak-user rate f^T(z) = (1 - z/R2*) R1* on the TDMA segment."""
     return (1.0 - z / log2_1p(y)) * log2_1p(x)
@@ -167,11 +173,12 @@ def tdma_boundary(z: float, ch: ChannelPair) -> float:
 
 
 def noma_boundary_slope(z: float, ch: ChannelPair) -> float:
-    """Analytic derivative of the NOMA boundary: -x*2^z / (y - x + x*2^z)."""
+    """Analytic derivative of the NOMA boundary at strong-user rate z.
+
+    Evaluates f_noma_slope for z in [0, R2*].
+    """
     _, r2_star = single_user_rates(ch)
-    z = _check_z(z, r2_star)
-    p = math.pow(2.0, z)
-    return -ch.x * p / (ch.y - ch.x + ch.x * p)
+    return float(f_noma_slope(_check_z(z, r2_star), ch.x, ch.y))
 
 
 #: the capacity boundary is the NOMA curve, swept over all of a2 in [0, 1]

@@ -6,22 +6,12 @@ import math
 
 import numpy as np
 from scipy.integrate import dblquad
-from scipy.special import chdtrc
+from scipy.special import betainc, chdtrc
 
 from . import analytic, montecarlo, quadrature
 from .events import classify_many
-from .order_stats import PairingConfig, marginal_cdf_n, sample_pairs
-from .regions import (
-    ChannelPair,
-    f_noma,
-    f_tdma,
-    log2_1p,
-    noma_boundary,
-    noma_boundary_slope,
-    noma_rates,
-    single_user_rates,
-    tdma_boundary,
-)
+from .order_stats import PairingConfig, joint_pdf, marginal_cdf_n, sample_pairs
+from .regions import f_noma, f_noma_slope, f_tdma, log2_1p, noma_rates
 
 #: (m, n) pairs and SNRs (dB) of the closed/quadrature/MC agreement grid
 AGREEMENT_PAIRS = [(1, 2), (1, 10), (2, 7), (4, 5), (5, 6)]
@@ -84,70 +74,52 @@ def check_regions(seed: int, samples: int = 1000) -> list[dict]:
     """Boundary endpoint identities, dominance, concavity, slope, and the
     point-F coordinates on random channels."""
     rng = np.random.default_rng(seed)
-    records = []
-    worst = {"endpoints": 0.0, "dominance": 0.0, "concavity": -np.inf,
-             "monotone_sum": 0, "consistency": 0.0, "slope": 0.0, "point_f": 0.0}
-    for _ in range(samples):
-        x = float(rng.uniform(0.05, 50.0))
-        y = x * (1.0 + float(rng.uniform(1e-3, 20.0)))
-        ch = ChannelPair(x, y)
-        r1s, r2s = single_user_rates(ch)
+    x, y = _random_channels(rng, samples)
+    r1s, r2s = log2_1p(x), log2_1p(y)
+    xc, yc = x[:, None], y[:, None]  # one row per channel
 
-        worst["endpoints"] = max(
-            worst["endpoints"],
-            abs(noma_boundary(0.0, ch) - r1s), abs(noma_boundary(r2s, ch)),
-            abs(tdma_boundary(0.0, ch) - r1s), abs(tdma_boundary(r2s, ch)))
+    endpoints = np.max(np.abs([f_noma(0.0, x, y) - r1s, f_noma(r2s, x, y),
+                               f_tdma(0.0, x, y) - r1s, f_tdma(r2s, x, y)]))
 
-        z = np.sort(rng.uniform(0.0, r2s, 16))
-        fn = np.array([noma_boundary(float(zi), ch) for zi in z])
-        ft = np.array([tdma_boundary(float(zi), ch) for zi in z])
-        worst["dominance"] = max(worst["dominance"], float(np.max(ft - fn)))
-        worst["monotone_sum"] += int(np.sum(np.diff(fn + z) <= 0.0))
+    z = np.sort(rng.uniform(0.0, r2s[:, None], (samples, 16)), axis=1)
+    fn = f_noma(z, xc, yc)
+    dominance = np.max(f_tdma(z, xc, yc) - fn)
+    monotone_sum = int(np.sum(np.diff(fn + z, axis=1) <= 0.0))
 
-        h = r2s / 64.0
-        zi = float(rng.uniform(2 * h, r2s - 2 * h))
-        second = (noma_boundary(zi + h, ch) - 2 * noma_boundary(zi, ch)
-                  + noma_boundary(zi - h, ch)) / h**2
-        worst["concavity"] = max(worst["concavity"], second / max(abs(second), 1.0))
+    h = r2s / 64.0
+    zi = rng.uniform(2 * h, r2s - 2 * h)
+    second = (f_noma(zi + h, x, y) - 2 * f_noma(zi, x, y)
+              + f_noma(zi - h, x, y)) / h**2
+    concavity = np.max(second / np.maximum(np.abs(second), 1.0))
 
-        a2 = float(rng.uniform(0.0, 0.5))
-        r1n, r2n = noma_rates(x, y, a2)
-        worst["consistency"] = max(
-            worst["consistency"], abs(float(r1n) - noma_boundary(float(r2n), ch)))
+    r1n, r2n = noma_rates(x, y, rng.uniform(0.0, 0.5, samples))
+    consistency = np.max(np.abs(r1n - f_noma(r2n, x, y)))
 
-        hs = 1e-5  # small central-difference step for the slope comparison
-        fd = (noma_boundary(zi + hs, ch) - noma_boundary(zi - hs, ch)) / (2 * hs)
-        an = noma_boundary_slope(zi, ch)
-        worst["slope"] = max(worst["slope"], abs(fd - an) / abs(an))
+    hs = 1e-5  # small central-difference step for the slope comparison
+    fd = (f_noma(zi + hs, x, y) - f_noma(zi - hs, x, y)) / (2 * hs)
+    an = f_noma_slope(zi, x, y)
+    slope = np.max(np.abs(fd - an) / np.abs(an))
 
-        f_expected = (math.log2(1 + y / 2), math.log2(1 + x / (2 + x)))
-        r1f, r2f = noma_rates(x, y, 0.5)
-        worst["point_f"] = max(worst["point_f"],
-                               abs(float(r2f) - f_expected[0]),
-                               abs(float(r1f) - f_expected[1]))
+    r1f, r2f = noma_rates(x, y, 0.5)
+    point_f = np.max(np.abs([r2f - np.log2(1 + y / 2),
+                             r1f - np.log2(1 + x / (2 + x))]))
 
-    records.append(_record("regions", "endpoint_identities",
-                           worst["endpoints"] <= 1e-12,
-                           f"worst |err| = {worst['endpoints']:.2e}"))
-    records.append(_record("regions", "noma_dominates_tdma",
-                           worst["dominance"] <= 1e-12,
-                           f"worst f^T - f^N = {worst['dominance']:.2e}"))
-    records.append(_record("regions", "monotone_sum",
-                           worst["monotone_sum"] == 0,
-                           f"{worst['monotone_sum']} non-increasing steps"))
-    records.append(_record("regions", "concavity",
-                           worst["concavity"] <= 1e-8,
-                           f"worst normalized f'' = {worst['concavity']:.2e}"))
-    records.append(_record("regions", "point_on_boundary",
-                           worst["consistency"] <= 1e-10,
-                           f"worst |r1 - f^N(r2)| = {worst['consistency']:.2e}"))
-    records.append(_record("regions", "analytic_slope",
-                           worst["slope"] <= 1e-6,
-                           f"worst relative slope error = {worst['slope']:.2e}"))
-    records.append(_record("regions", "point_f_coordinates",
-                           worst["point_f"] <= 1e-10,
-                           f"worst point-F deviation = {worst['point_f']:.2e}"))
-    return records
+    return [
+        _record("regions", "endpoint_identities", endpoints <= 1e-12,
+                f"worst |err| = {endpoints:.2e}"),
+        _record("regions", "noma_dominates_tdma", dominance <= 1e-12,
+                f"worst f^T - f^N = {dominance:.2e}"),
+        _record("regions", "monotone_sum", monotone_sum == 0,
+                f"{monotone_sum} non-increasing steps"),
+        _record("regions", "concavity", concavity <= 1e-8,
+                f"worst normalized f'' = {concavity:.2e}"),
+        _record("regions", "point_on_boundary", consistency <= 1e-10,
+                f"worst |r1 - f^N(r2)| = {consistency:.2e}"),
+        _record("regions", "analytic_slope", slope <= 1e-6,
+                f"worst relative slope error = {slope:.2e}"),
+        _record("regions", "point_f_coordinates", point_f <= 1e-10,
+                f"worst point-F deviation = {point_f:.2e}"),
+    ]
 
 
 def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
@@ -155,11 +127,15 @@ def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
     chi-square test, and a closed-form mean spot check."""
     records = []
     cfg = PairingConfig(10, 2, 7, 10.0)
+    rho = cfg.rho
 
-    # substitution (u, v) = (exp(-x/rho), exp(-y/rho)) maps the support onto
-    # the triangle 0 < v < u < 1 and the density onto a polynomial
-    mass, _ = dblquad(lambda vv, uu: _uv_density(uu, vv, cfg),
-                      0.0, 1.0, 0.0, lambda uu: uu,
+    # (u, s) = (exp(-x/rho), exp(-(y-x)/rho)) maps the support onto the unit
+    # square, with dx dy = rho^2/(u s) du ds
+    def us_density(s, u):
+        x = -rho * math.log(u)
+        return joint_pdf(x, x - rho * math.log(s), cfg) * rho**2 / (u * s)
+
+    mass, _ = dblquad(us_density, 0.0, 1.0, 0.0, 1.0,
                       epsabs=1e-10, epsrel=1e-10)
     records.append(_record("orderstats", "pdf_normalization",
                            abs(mass - 1.0) <= 1e-6,
@@ -192,26 +168,15 @@ def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
 
 def _chi_square_pvalue(x: np.ndarray, y: np.ndarray, cfg: PairingConfig,
                        grid: int = 8) -> float:
-    """Chi-square of sampled (x, y) against the cell-integrated joint PDF on
-    a grid over (exp(-x/rho), exp(-y/rho)); low-count cells are pooled."""
-    rho = cfg.rho
-    u = np.exp(-x / rho)
-    v = np.exp(-y / rho)
+    """Chi-square of sampled (x, y) on a grid over (u, s) = (exp(-x/rho),
+    exp(-(y-x)/rho)) against the cell masses of the independent Beta laws of
+    u and s; low-count cells are pooled."""
+    u = np.exp(-x / cfg.rho)
+    s = np.exp(-(y - x) / cfg.rho)
     edges = np.linspace(0.0, 1.0, grid + 1)
-    observed = np.histogram2d(u, v, bins=(edges, edges))[0]
-
-    N = len(x)
-    expected = np.zeros_like(observed)
-    for i in range(grid):
-        for j in range(grid):
-            if edges[j] >= edges[i + 1]:  # cell entirely above the diagonal
-                continue
-            mass, _ = dblquad(
-                lambda vv, uu: _uv_density(uu, vv, cfg),
-                edges[i], edges[i + 1],
-                lambda uu: edges[j], lambda uu: min(edges[j + 1], 1.0),
-                epsabs=1e-10, epsrel=1e-8)
-            expected[i, j] = mass * N
+    observed = np.histogram2d(u, s, bins=(edges, edges))[0]
+    expected = len(x) * np.outer(np.diff(betainc(*cfg.u_shape, edges)),
+                                 np.diff(betainc(*cfg.s_shape, edges)))
 
     obs = observed.ravel()
     exp_ = expected.ravel()
@@ -223,13 +188,6 @@ def _chi_square_pvalue(x: np.ndarray, y: np.ndarray, cfg: PairingConfig,
     stat = float(np.sum((obs_pooled[keep] - exp_pooled[keep])**2 / exp_pooled[keep]))
     dof = int(np.sum(keep)) - 1
     return float(chdtrc(dof, stat))
-
-
-def _uv_density(u: float, v: float, cfg: PairingConfig) -> float:
-    if v >= u:
-        return 0.0
-    M, m, n = cfg.M, cfg.m, cfg.n
-    return cfg.w1 * (1 - u)**(m - 1) * v**(M - n) * (u - v)**(n - 1 - m)
 
 
 def check_probabilities(seed: int, trials: int = 1_000_000,

@@ -241,7 +241,9 @@ def _large_m_points():
               (30, 7, 22, 25.0, "special"),
               # a2 near 1/2 keeps w2 small, so P(E4) is far from 0 at large M
               (200, 20, 50, 10.0, 0.3),
-              (120, 30, 60, 5.0, 0.4)]
+              (120, 30, 60, 5.0, 0.4),
+              # scipy's quad called this integral "probably divergent"
+              (91, 6, 10, 52.9, 0.0022722)]
     rng = np.random.default_rng(2015)
     modes = ["inv_sqrt_rho", "special", "fixed"]
     for _ in range(10):
@@ -301,11 +303,11 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("cfg, a2, b2, tol, expect", [
         (PairingConfig(6, 2, 5, 100.0), 0.2, 0.3, 1e-5,
-         ("0x1.fd9524de57c07p-1", "0x1.356d5e68d4cc5p-8",
-          "0x1.333829dc05fc0p-27", "0x1.8088b7bbc681ap-29")),
+         ("0x1.fd9524de57c08p-1", "0x1.356d5e68d4cc6p-8",
+          "0x1.333829dbf72d5p-27", "0x1.8088b7bbccfc7p-29")),
         (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
-         ("0x1.05f3f760d49eap-4", "0x1.f598f1d1a2c16p-4",
-          "0x1.a07d27dbcb430p-1", "0x1.13afde5d1165cp-13")),
+         ("0x1.05f3f760d49ebp-4", "0x1.f598f1d1a2c14p-4",
+          "0x1.a07d27dbcb42fp-1", "0x1.13afde5d1165ep-13")),
     ], ids=["b2_0.3", "m4_n5_25dB"])
     def test_pinned_output(self, cfg, a2, b2, tol, expect):
         # exact values: any change to the panels refined, their order or the
@@ -332,6 +334,15 @@ class TestQuadratureOracle:
         # 8 starting panels and their 16 halves (8 nodes each) make the first
         # step; each refined panel then adds its 4 quarters; 14 are refined
         assert [shapes[i][0] for i in steps] == [192] + [32] * 14
+
+    def test_large_population(self):
+        # the Beta(u_shape) normaliser underflows and w1 overflows a float at
+        # M = 2000; P(E2) and P(y > w2) are binomial CDFs there
+        cfg = PairingConfig(2000, 230, 250, 10.0)
+        probs = event_probabilities_quadrature(cfg, 0.4, tol=1e-6)
+        assert probs.p2 == pytest.approx(p_eps2_closed(cfg, 0.4), abs=1e-6)
+        assert probs.p1 + probs.p2 == pytest.approx(
+            strong_user_tail(cfg, 0.4), abs=1e-6)
 
     def test_tolerance_validation(self):
         cfg = PairingConfig(6, 2, 5, 100.0)

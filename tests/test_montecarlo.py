@@ -15,8 +15,10 @@ from noma_tdma import (
     p_eps2_special,
     sample_pairs,
 )
+from noma_tdma import montecarlo
 from noma_tdma.events import classify_many
 from noma_tdma.montecarlo import BLOCK_SIZE, _block_rng
+from noma_tdma.regions import noma_rates
 
 RHO25 = 10.0**2.5
 CFG = PairingConfig(10, 2, 7, RHO25)
@@ -133,6 +135,26 @@ class TestAverageRates:
         est = estimate_average_rates(cfg, a2, 0.5,
                                      McConfig(trials=100_000, seed=12))
         assert est.r2_noma > est.r2_tdma
+
+    def test_stderr_at_high_snr(self, monkeypatch):
+        # at 300 dB r1_noma is log2(1/a2) to ~1e-11, where E[r^2] - E[r]^2
+        # cancels; compare with numpy's two-pass std over the same draws
+        draws = []
+
+        def recording(x, y, a2):
+            r1, r2 = noma_rates(x, y, a2)
+            draws.append(r1)
+            return r1, r2
+
+        monkeypatch.setattr(montecarlo, "noma_rates", recording)
+        rho = 1e30
+        est = estimate_average_rates(PairingConfig(10, 1, 10, rho),
+                                     optimal_a2_special(rho), 0.5,
+                                     McConfig(trials=2 * BLOCK_SIZE, seed=1))
+        r1 = np.concatenate(draws)
+        assert r1.size == 2 * BLOCK_SIZE
+        assert est.stderr[0] == pytest.approx(r1.std() / math.sqrt(r1.size),
+                                              rel=1e-6)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):

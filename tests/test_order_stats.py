@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.special import beta
 from scipy.stats import kstest
 
 from noma_tdma import (
@@ -33,6 +34,10 @@ class TestPairingConfig:
             math.factorial(1) * math.factorial(4) * math.factorial(3))
         assert cfg.w3 == math.factorial(10) // (
             math.factorial(6) * math.factorial(3))
+        # u = exp(-x/rho) and s = exp(-(y-x)/rho) are independent Betas
+        assert cfg.u_shape == (9, 2) and cfg.s_shape == (4, 5)
+        assert cfg.w1 * beta(*cfg.u_shape) * beta(*cfg.s_shape) == \
+            pytest.approx(1.0, rel=1e-14)
 
 
 class TestJointPdf:

@@ -1,7 +1,15 @@
+import dataclasses
 import math
 
-from noma_tdma import McConfig, PairingConfig, estimate_event_probs, p_eps4_closed
+from noma_tdma import (
+    McConfig,
+    PairingConfig,
+    estimate_event_probs,
+    p_eps4_closed,
+    sample_pairs,
+)
 from noma_tdma import validation
+from noma_tdma.regions import f_noma_slope
 
 
 class TestProbabilityAgreement:
@@ -24,3 +32,25 @@ class TestProbabilityAgreement:
         assert len(records) == 15
         assert all(r["passed"] for r in records), \
             [r["detail"] for r in records if not r["passed"]]
+
+
+def test_chi_square_sees_the_joint_law(monkeypatch):
+    # x drawn as the (m+1)-th order statistic leaves the y marginal as it is,
+    # so only the joint chi-square can tell
+    def shifted(cfg, rng, size):
+        if cfg.m + 1 < cfg.n:
+            cfg = dataclasses.replace(cfg, m=cfg.m + 1)
+        return sample_pairs(cfg, rng, size)
+
+    monkeypatch.setattr(validation, "sample_pairs", shifted)
+    records = {r["check"]: r for r in validation.check_orderstats(0)}
+    assert not records["sampler_joint_chi_square"]["passed"]
+    assert records["sampler_marginal_ks"]["passed"]
+
+
+def test_regions_see_a_wrong_slope(monkeypatch):
+    monkeypatch.setattr(validation, "f_noma_slope",
+                        lambda z, x, y: 1.01 * f_noma_slope(z, x, y))
+    records = {r["check"]: r for r in validation.check_regions(0)}
+    assert not records.pop("analytic_slope")["passed"]
+    assert all(r["passed"] for r in records.values())
