@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
-from scipy.special import bdtr, bdtrc, betainc
+from scipy.special import bdtr, bdtrc, betainc, betaln
 
 from .events import e2_threshold
 from .order_stats import PairingConfig
@@ -136,10 +136,15 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     if w2 <= lo:
         return _clamp_probability(below_lo, "P(E4)")
 
+    # log of the f_n normaliser 1/(rho B(n, M-n+1)), which overflows a
+    # float from M ~ 1,000 on
+    log_norm = -betaln(n, M - n + 1) - math.log(rho)
+
     def integrand(yv: float) -> float:
         Fy = -math.expm1(-yv / rho)
         Fg = -math.expm1(-(w2 - yv) / (1.0 + yv) / rho)
-        density = cfg.w3 * Fy**(n - 1) * math.exp(-(M - n + 1) * yv / rho) / rho
+        density = math.exp(log_norm + (n - 1) * math.log(Fy)
+                           - (M - n + 1) * yv / rho)
         return density * betainc(m, n - m, Fg / Fy)
 
     # full_output keeps scipy from warning on its own heuristics (e.g.

@@ -11,6 +11,7 @@ four subsegments; the event index says which subsegment T falls on:
 """
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 
 import numpy as np
@@ -54,6 +55,22 @@ _REDUCED_CONDITIONS = [
 ]
 
 
+def _label_table(conditions) -> np.ndarray:
+    """Event id for each of the 27 sign triples, indexed by the code
+    9*s1 + 3*s2 + s3 + 13; 0 where no event matches."""
+    table = np.zeros(27, dtype=np.int8)
+    for code, signs in enumerate(itertools.product((-1, 0, 1), repeat=3)):
+        for event, required in conditions:
+            if all(r is None or s in (0, r) for s, r in zip(signs, required)):
+                table[code] = event.value
+                break
+    return table
+
+
+_FULL_TABLE = _label_table(_FULL_CONDITIONS)
+_REDUCED_TABLE = _label_table(_REDUCED_CONDITIONS)
+
+
 def classify_full(ch: ChannelPair, p: PowerSplit, t: TimeSplit) -> EventId:
     """Classify using all three comparisons of the full event definitions."""
     p.require_noma()
@@ -90,31 +107,27 @@ def classify_many(x, y, a2, b2, reduced: bool = False,
                   tol: float = TIE_TOL) -> np.ndarray:
     """Vectorized classification; returns an int8 array of event ids 1..4.
 
-    All four arguments broadcast against each other.  Same tie-break as the
-    scalar classifiers.
+    All four arguments broadcast against each other; scalar arguments give
+    a 0-d array.  Same tie-break as the scalar classifiers: each comparison
+    becomes a sign in {-1, 0, +1} (0 within tol), and the sign triple is
+    looked up in a 27-entry table derived from the condition tables.
     """
     a2 = np.asarray(a2, dtype=np.float64)
     b2 = np.asarray(b2, dtype=np.float64)
-    if np.any(a2 <= 0.0) or np.any(a2 > 0.5):
+    if ((a2 <= 0.0) | (a2 > 0.5)).any():
         raise DegenerateSplitError("need 0 < a2 <= 1/2 everywhere")
-    if np.any(b2 <= 0.0) or np.any(b2 >= 1.0):
+    if ((b2 <= 0.0) | (b2 >= 1.0)).any():
         raise DegenerateSplitError("need 0 < b2 < 1 everywhere")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     r1n, r2n = noma_rates(x, y, a2)
     r1t, r2t = tdma_rates(x, y, b2)
     deltas = (r1n - r1t, r2n - r2t, (r1n + r2n) - (r1t + r2t))
-    signs = [np.where(np.abs(d) <= tol, 0, np.sign(d)).astype(np.int8)
-             for d in deltas]
-
-    conditions = _REDUCED_CONDITIONS if reduced else _FULL_CONDITIONS
-    out = np.zeros(np.broadcast(x, y, a2, b2).shape, dtype=np.int8)
-    for event, required in conditions:
-        ok = out == 0
-        for s, r in zip(signs, required):
-            if r is not None:
-                ok &= (s == r) | (s == 0)
-        out[ok] = event.value
-    if np.any(out == 0):
+    s1, s2, s3 = (np.asarray(d > tol, dtype=np.int8)
+                  - np.asarray(d < -tol, dtype=np.int8) for d in deltas)
+    code = 9 * s1 + 3 * s2 + s3 + 13
+    table = _REDUCED_TABLE if reduced else _FULL_TABLE
+    out = np.asarray(table[code])
+    if not out.all():
         raise ClassificationError("unclassified samples encountered")
     return out

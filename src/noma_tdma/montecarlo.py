@@ -27,7 +27,7 @@ BLOCK_SIZE = 1 << 16
 WORKERS_ENV = "NOMA_TDMA_MAX_WORKERS"
 
 #: identifier of the RNG scheme, recorded in run manifests
-RNG_SCHEME = "philox4x64-jumped-blocks-v2"
+RNG_SCHEME = "philox4x64-jumped-blocks-v3"
 
 
 @dataclass(frozen=True)

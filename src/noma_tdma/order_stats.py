@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtrc
+from scipy.special import bdtrc, betaln, xlogy
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,6 @@ class PairingConfig:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
 
     @property
-    def w1(self) -> int:
-        """Joint order-statistic normalization M!/((m-1)!(n-1-m)!(M-n)!)."""
-        return math.factorial(self.M) // (
-            math.factorial(self.m - 1) * math.factorial(self.n - 1 - self.m)
-            * math.factorial(self.M - self.n))
-
-    @property
     def u_shape(self) -> tuple[int, int]:
         """Beta shape (M-m+1, m) of u = exp(-x/rho)."""
         return self.M - self.m + 1, self.m
@@ -48,12 +41,6 @@ class PairingConfig:
         """Beta shape (M-n+1, n-m) of s = exp(-(y-x)/rho), independent of u."""
         return self.M - self.n + 1, self.n - self.m
 
-    @property
-    def w3(self) -> int:
-        """n-th order-statistic normalization M!/((n-1)!(M-n)!)."""
-        return math.factorial(self.M) // (
-            math.factorial(self.n - 1) * math.factorial(self.M - self.n))
-
 
 def joint_pdf(x, y, cfg: PairingConfig):
     """Joint density of the paired order statistics at (x, y); zero for x >= y.
@@ -61,21 +48,25 @@ def joint_pdf(x, y, cfg: PairingConfig):
     With u = exp(-x/rho) ~ Beta(cfg.u_shape) and s = exp(-(y-x)/rho) ~
     Beta(cfg.s_shape) independent (Renyi 1953), and dx dy = rho^2/(u s) du ds,
 
-        f(x, y) = w1/rho^2 u^a_u (1-u)^(b_u-1) s^a_s (1-s)^(b_s-1)
+        f(x, y) = u^a_u (1-u)^(b_u-1) s^a_s (1-s)^(b_s-1)
+                  / (rho^2 B(u_shape) B(s_shape))
 
-    where w1 = 1/(B(u_shape) B(s_shape)).  Accepts scalars or arrays.
+    evaluated in logs, since 1/(B(u_shape) B(s_shape)) overflows a float
+    from M ~ 640 on.  Accepts scalars or arrays.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("SNR arguments must be positive")
     (a_u, b_u), (a_s, b_s) = cfg.u_shape, cfg.s_shape
-    u = np.exp(-x / cfg.rho)
-    # clipped so that exp cannot overflow where x >= y; those are zeroed below
-    s = np.exp(-np.maximum(y - x, 0.0) / cfg.rho)
-    dens = (cfg.w1 / cfg.rho**2 * u**a_u * (1.0 - u)**(b_u - 1)
-            * s**a_s * (1.0 - s)**(b_s - 1))
-    out = np.where(x < y, dens, 0.0)
+    rho = cfg.rho
+    # clipped where x >= y; those rows are zeroed below
+    d = np.maximum(y - x, 0.0)
+    log_dens = (-betaln(a_u, b_u) - betaln(a_s, b_s) - 2.0 * math.log(rho)
+                - (a_u * x + a_s * d) / rho
+                + xlogy(b_u - 1, -np.expm1(-x / rho))
+                + xlogy(b_s - 1, -np.expm1(-d / rho)))
+    out = np.where(x < y, np.exp(log_dens), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -88,25 +79,47 @@ def marginal_cdf_n(t, cfg: PairingConfig):
     return float(out) if out.ndim == 0 else out
 
 
+#: spacing runs at least this long are drawn as a gamma ratio, shorter ones
+#: as a sum of exponentials.  Per 65,536 draws on a 2-core x86-64 VM (numpy
+#: 2.4, Philox), a sum of k exponentials takes ~0.95*k ms and the ratio of
+#: two gammas ~6.1 ms (~4.3 ms when the denominator shape is 1), so the two
+#: cost about the same at k = 6.
+GAMMA_RUN = 6
+
+
+def _log_beta_draw(rng: np.random.Generator, shape: tuple[int, int],
+                   size: int, rho: float) -> np.ndarray:
+    """`size` draws of -rho*log(B) for B ~ Beta(a, b) = `shape`.
+
+    This is the sum of b consecutive Renyi spacings, exponentials with means
+    rho/(a+b-1), ..., rho/a.  A run of b >= GAMMA_RUN spacings is drawn as
+    rho*log1p(G_b/G_a) from two gamma draws instead, since B = G_a/(G_a+G_b).
+    """
+    a, b = shape
+    if b >= GAMMA_RUN:
+        g_b = rng.standard_gamma(b, size)
+        return rho * np.log1p(g_b / rng.standard_gamma(a, size))
+    out = np.zeros(size)
+    for rate in range(a + b - 1, a - 1, -1):
+        out += rng.standard_exponential(size) * (rho / rate)
+    return out
+
+
 def sample_pairs(cfg: PairingConfig, rng: np.random.Generator,
                  size: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw `size` ordered SNR pairs (x, y); vectorized sampler.
 
     Renyi (1953) representation: the spacings of M i.i.d. exponential(mean
     rho) order statistics are independent, the (k+1)-th exponential with mean
-    rho/(M-k).  x sums the first m spacings and y = x plus the next n-m, so
-    a pair costs n draws and no sort.  A row with y <= x can only come from
-    x + spacings rounding to x; such rows are redrawn.
+    rho/(M-k).  x sums the first m spacings and y - x the next n-m, so
+    x = -rho*log(u) and y - x = -rho*log(s) with u ~ Beta(cfg.u_shape) and
+    s ~ Beta(cfg.s_shape); each is drawn by `_log_beta_draw`, x first.  A
+    pair costs at most 2*(GAMMA_RUN-1) draws, whatever M and n, and no
+    sort.  A row with y <= x can only come from x + (y - x) rounding to x;
+    such rows are redrawn.
     """
-    x = np.zeros(size)
-    s = np.zeros(size)
-    for k in range(cfg.n):
-        spacing = rng.standard_exponential(size) * (cfg.rho / (cfg.M - k))
-        if k < cfg.m:
-            x += spacing
-        else:
-            s += spacing
-    y = x + s
+    x = _log_beta_draw(rng, cfg.u_shape, size, cfg.rho)
+    y = x + _log_beta_draw(rng, cfg.s_shape, size, cfg.rho)
     bad = np.flatnonzero(y <= x)
     if bad.size:
         x[bad], y[bad] = sample_pairs(cfg, rng, bad.size)

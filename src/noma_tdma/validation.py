@@ -124,7 +124,8 @@ def check_regions(seed: int, samples: int = 1000) -> list[dict]:
 
 def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
     """Joint-PDF normalization, sampler-vs-CDF KS test, sampler-vs-PDF
-    chi-square test, and a closed-form mean spot check."""
+    chi-square tests with short and long spacing runs, and a closed-form
+    mean spot check."""
     records = []
     cfg = PairingConfig(10, 2, 7, 10.0)
     rho = cfg.rho
@@ -155,6 +156,13 @@ def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
     pval = _chi_square_pvalue(x, y, cfg)
     records.append(_record("orderstats", "sampler_joint_chi_square",
                            pval > 0.001, f"p-value = {pval:.4f}"))
+
+    # x is one spacing and y - x a run of nine, drawn as a gamma ratio
+    cfg_long = PairingConfig(10, 1, 10, 10.0)
+    x, y = sample_pairs(cfg_long, np.random.default_rng(seed + 2), samples)
+    pval = _chi_square_pvalue(x, y, cfg_long)
+    records.append(_record("orderstats", "sampler_joint_chi_square_long_run",
+                           pval > 0.001, f"p-value = {pval:.4f} at (10,1,10)"))
 
     cfg2 = PairingConfig(2, 1, 2, 1.0)
     _, y2 = sample_pairs(cfg2, np.random.default_rng(seed + 1), samples)

@@ -103,6 +103,24 @@ class TestEvents:
         assert math.fsum(float(v) for v in rows[0][3:7]) == pytest.approx(
             1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("point", [
+        ["--m", "600", "--n", "601", "--rho-db", "25"],
+        # a2 near 1/2 keeps w2 small, so P(E4) = 0.88 here
+        ["--m", "300", "--n", "600", "--rho-db", "0", "--a2-mode", "fixed:0.4"],
+    ])
+    def test_closed_form_past_float_factorials(self, point, tmp_path):
+        # the order-statistic normalisers M!/(...) overflow a float at
+        # M = 1200; the closed forms agree with the quadrature within its tol
+        probs = {}
+        for method in ("closed", "quadrature"):
+            out = tmp_path / f"{method}.csv"
+            rc = main(["events", "--M", "1200", *point, "--method", method,
+                       "--quad-tol", "1e-6", "--out", str(out)])
+            assert rc == EXIT_OK
+            _, rows = _read_csv(out)
+            probs[method] = [float(v) for v in rows[0][3:7]]
+        assert probs["closed"] == pytest.approx(probs["quadrature"], abs=1e-6)
+
     @pytest.mark.parametrize("method", ["closed", "all"])
     def test_closed_form_rejects_unequal_time_split(self, method, capsys):
         rc = main(["events", "--m", "2", "--n", "7", "--method", method,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from noma_tdma import (
     ChannelPair,
@@ -111,6 +113,48 @@ class TestEquivalence:
         assert classify_reduced(*args) == EventId.E2
         for reduced in (False, True):
             assert classify_many([x], [y], a2, b2, reduced=reduced)[0] == 2
+
+
+def _values(lo, hi, special, exclude_min=False):
+    """Floats in [lo, hi] plus the exact values of a known tie."""
+    return st.one_of(st.floats(lo, hi, exclude_min=exclude_min),
+                     st.sampled_from(special))
+
+
+@st.composite
+def _broadcast_inputs(draw):
+    """(x, y, a2, b2) arrays of mutually broadcastable shapes with y > x; the
+    sampled values include x = 1, y = 3, a2 = 1/4, b2 = log2(1.75)/2, where
+    R2N = R2T exactly."""
+    shapes = draw(mutually_broadcastable_shapes(num_shapes=4, max_dims=3,
+                                                max_side=3)).input_shapes
+    x = draw(arrays(np.float64, shapes[0],
+                    elements=_values(1e-3, 1e3, [1.0], exclude_min=True)))
+    ratio = draw(arrays(np.float64, shapes[1],
+                        elements=_values(1e-6, 1e3, [2.0], exclude_min=True)))
+    a2 = draw(arrays(np.float64, shapes[2],
+                     elements=_values(1e-3, 0.5, [0.25, 0.5])))
+    b2 = draw(arrays(np.float64, shapes[3],
+                     elements=_values(1e-3, 0.999,
+                                      [0.5, math.log2(1.75) / 2.0])))
+    return x, x * (1.0 + ratio), a2, b2
+
+
+class TestBroadcasting:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(_broadcast_inputs(), st.booleans())
+    def test_matches_elementwise_scalar_calls(self, args, reduced):
+        labels = classify_many(*args, reduced=reduced)
+        shape = np.broadcast_shapes(*(a.shape for a in args))
+        assert labels.dtype == np.int8 and labels.shape == shape
+        full = np.broadcast_arrays(*args)
+        for idx in np.ndindex(shape):
+            one = classify_many(*(float(a[idx]) for a in full),
+                                reduced=reduced)
+            assert isinstance(one, np.ndarray) and one.shape == ()
+            assert one.dtype == np.int8
+            assert one == labels[idx]
 
 
 class TestEpsilon2Threshold:

@@ -116,6 +116,16 @@ class TestAverageRates:
         assert (a.r1_noma, a.r2_noma, a.r1_tdma, a.r2_tdma) == \
             (b.r1_noma, b.r2_noma, b.r1_tdma, b.r2_tdma)
 
+    def test_gamma_runs_are_shard_invariant(self):
+        # y - x is a run of 199 spacings, drawn as a gamma ratio; every
+        # draw reaches the means, so any change in the sample set shows
+        cfg = PairingConfig(200, 1, 200, RHO25)
+        a = estimate_average_rates(cfg, A2, 0.5, McConfig(
+            trials=3 * BLOCK_SIZE + 1234, seed=7, shards=1))
+        b = estimate_average_rates(cfg, A2, 0.5, McConfig(
+            trials=3 * BLOCK_SIZE + 1234, seed=7, shards=2))
+        assert a == b
+
     def test_weak_user_tdma_mean_against_quadrature(self):
         # M=2, m=1: x = min of two exponentials(rho) ~ exponential(rho/2),
         # and r1_tdma = 0.5 * E[log2(1 + x)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.special import beta
-from scipy.stats import kstest
+from scipy.stats import beta as beta_dist, kstest
 
 from noma_tdma import (
     PairingConfig,
@@ -30,14 +30,20 @@ class TestPairingConfig:
 
     def test_constants(self):
         cfg = PairingConfig(10, 2, 7, 100.0)
-        assert cfg.w1 == math.factorial(10) // (
-            math.factorial(1) * math.factorial(4) * math.factorial(3))
-        assert cfg.w3 == math.factorial(10) // (
-            math.factorial(6) * math.factorial(3))
         # u = exp(-x/rho) and s = exp(-(y-x)/rho) are independent Betas
         assert cfg.u_shape == (9, 2) and cfg.s_shape == (4, 5)
-        assert cfg.w1 * beta(*cfg.u_shape) * beta(*cfg.s_shape) == \
+        # their normalisers make up the textbook joint order-statistic one,
+        # w1 F(x)^(m-1) (F(y)-F(x))^(n-m-1) (1-F(y))^(M-n) f(x) f(y)
+        w1 = math.factorial(10) // (
+            math.factorial(1) * math.factorial(4) * math.factorial(3))
+        assert w1 * beta(*cfg.u_shape) * beta(*cfg.s_shape) == \
             pytest.approx(1.0, rel=1e-14)
+        x, y = 30.0, 120.0
+        F = lambda t: -math.expm1(-t / 100.0)
+        f = lambda t: math.exp(-t / 100.0) / 100.0
+        assert joint_pdf(x, y, cfg) == pytest.approx(
+            w1 * F(x) * (F(y) - F(x))**4 * (1 - F(y))**3 * f(x) * f(y),
+            rel=1e-13)
 
 
 class TestJointPdf:
@@ -55,6 +61,16 @@ class TestJointPdf:
             joint_pdf(-1.0, 2.0, cfg)
         with pytest.raises(ValueError):
             joint_pdf(1.0, 0.0, cfg)
+
+    def test_large_population(self):
+        # 1/(B(u_shape) B(s_shape)) overflows a float at M = 700; compare with
+        # the two Beta densities times the Jacobian u s / rho^2
+        cfg = PairingConfig(700, 233, 466, 300.0)
+        x, y = 50.0, 400.0
+        u, s = math.exp(-x / cfg.rho), math.exp(-(y - x) / cfg.rho)
+        expect = (beta_dist.pdf(u, *cfg.u_shape) * beta_dist.pdf(s, *cfg.s_shape)
+                  * u * s / cfg.rho**2)
+        assert joint_pdf(x, y, cfg) == pytest.approx(expect, rel=1e-9)
 
     @pytest.mark.parametrize("M,m,n", [(2, 1, 2), (10, 2, 7), (10, 5, 6)])
     def test_normalization(self, M, m, n):
@@ -108,23 +124,36 @@ class TestSampler:
         assert 0.0 < x[0] < y[0]
 
     def test_rounded_ties_are_redrawn(self):
-        class ZeroSpacingsFirst:
-            """Draws 1, except 0 for the spacings past the m-th on the first
-            pass, so that every first pair has y == x."""
+        class ZeroRunFirst:
+            """Draws 1, except 0 on the listed calls of the first pass, which
+            make every first pair's y - x zero, so y == x."""
 
-            def __init__(self, cfg):
-                self.cfg, self.calls = cfg, 0
+            def __init__(self, zero):
+                self.zero, self.calls = zero, 0
+
+            def _draw(self, size):
+                self.calls += 1
+                return np.zeros(size) if self.calls in self.zero \
+                    else np.ones(size)
 
             def standard_exponential(self, size):
-                self.calls += 1
-                zero = self.calls <= self.cfg.n and self.calls > self.cfg.m
-                return np.zeros(size) if zero else np.ones(size)
+                return self._draw(size)
 
-        cfg = PairingConfig(10, 2, 7, 100.0)
-        rng = ZeroSpacingsFirst(cfg)
-        x, y = sample_pairs(cfg, rng, 5)
-        assert np.all(x < y)
-        assert rng.calls == 2 * cfg.n
+            def standard_gamma(self, shape, size):
+                return self._draw(size)
+
+        for cfg, zero, per_pass in [
+            # x then y - x as sums of exponentials: draws 3-7 are y - x
+            (PairingConfig(10, 2, 7, 100.0), {3, 4, 5, 6, 7}, 7),
+            # x one exponential, y - x the gamma ratio G_9/G_1: draw 2 is G_9
+            (PairingConfig(10, 1, 10, 100.0), {2}, 3),
+            # both runs gamma ratios: draw 3 is the numerator of y - x
+            (PairingConfig(20, 8, 16, 100.0), {3}, 4),
+        ]:
+            rng = ZeroRunFirst(zero)
+            x, y = sample_pairs(cfg, rng, 5)
+            assert np.all(0.0 < x) and np.all(x < y)
+            assert rng.calls == 2 * per_pass
 
     def test_mean_of_max_of_two(self):
         cfg = PairingConfig(2, 1, 2, 1.0)

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 
+import numpy as np
+
 from noma_tdma import (
     McConfig,
     PairingConfig,
@@ -9,6 +11,7 @@ from noma_tdma import (
     sample_pairs,
 )
 from noma_tdma import validation
+from noma_tdma.order_stats import GAMMA_RUN
 from noma_tdma.regions import f_noma_slope
 
 
@@ -53,4 +56,21 @@ def test_regions_see_a_wrong_slope(monkeypatch):
                         lambda z, x, y: 1.01 * f_noma_slope(z, x, y))
     records = {r["check"]: r for r in validation.check_regions(0)}
     assert not records.pop("analytic_slope")["passed"]
+    assert all(r["passed"] for r in records.values())
+
+
+def test_chi_square_sees_a_wrong_long_run(monkeypatch):
+    # a run of b >= GAMMA_RUN spacings is -rho log B, B ~ Beta(a, b) =
+    # G_a/(G_a + G_b); drawing G_(b+1) instead shifts only that factor
+    def wrong_shape(cfg, rng, size):
+        x, y = sample_pairs(cfg, rng, size)
+        a, b = cfg.s_shape
+        if b >= GAMMA_RUN:
+            y = x + cfg.rho * np.log1p(rng.standard_gamma(b + 1, size)
+                                       / rng.standard_gamma(a, size))
+        return x, y
+
+    monkeypatch.setattr(validation, "sample_pairs", wrong_shape)
+    records = {r["check"]: r for r in validation.check_orderstats(0)}
+    assert not records.pop("sampler_joint_chi_square_long_run")["passed"]
     assert all(r["passed"] for r in records.values())
