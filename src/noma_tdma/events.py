@@ -114,9 +114,10 @@ def classify_many(x, y, a2, b2, reduced: bool = False,
     """
     a2 = np.asarray(a2, dtype=np.float64)
     b2 = np.asarray(b2, dtype=np.float64)
-    if ((a2 <= 0.0) | (a2 > 0.5)).any():
+    # written so that NaN fails the check
+    if not ((a2 > 0.0) & (a2 <= 0.5)).all():
         raise DegenerateSplitError("need 0 < a2 <= 1/2 everywhere")
-    if ((b2 <= 0.0) | (b2 >= 1.0)).any():
+    if not ((b2 > 0.0) & (b2 < 1.0)).all():
         raise DegenerateSplitError("need 0 < b2 < 1 everywhere")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -13,9 +13,11 @@ u-integral against the Beta(u_shape) density is then done with adaptive
 Gauss-Legendre panels refined near the kinks the event boundaries induce.
 
 Every u-column of one refinement step is classified together: one
-classifier call on the (columns x probes) grid, then one call per bisection
-iteration over the brackets of all columns.  A solve therefore costs
-1 + _BISECT_ITERS classifier calls per step, whatever the number of columns.
+classifier call on the (columns x probes) grid, then one call per
+_BISECT_LEVELS halvings over the brackets of all columns, until every
+bracket has collapsed onto adjacent floats (~47-52 halvings, capped at
+_BISECT_ITERS).  A step therefore costs about 1 + 12 classifier calls,
+whatever the number of columns.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ from .analytic import ConvergenceError, EventProbabilities
 from .events import classify_many
 from .order_stats import PairingConfig
 
-_BISECT_ITERS = 60   # enough to pin a boundary to ~1e-18 in s
+_BISECT_ITERS = 60   # cap on halvings; every bracket reaches adjacent floats first
+_BISECT_LEVELS = 4   # halvings per classifier call; divides _BISECT_ITERS
 _MAX_PANELS = 4096
 
 
@@ -45,6 +48,39 @@ def _s_probe_grid() -> np.ndarray:
 _SPROBES = _s_probe_grid()
 
 
+def _bisect(lo: np.ndarray, hi: np.ndarray, left_label: np.ndarray,
+            xb: np.ndarray, rho: float, a2: float, b2: float) -> np.ndarray:
+    """Bisect every bracket (lo, hi) of s on its label change; lo keeps
+    left_label.  One classifier call labels the depth-_BISECT_LEVELS
+    bisection tree below each bracket, which is then walked level by level
+    (label(mid) == left_label -> lo = mid), so the points visited and the
+    cuts returned are those of one halving per call."""
+    rows = np.arange(lo.size)
+    width = 2**_BISECT_LEVELS
+    for _ in range(_BISECT_ITERS // _BISECT_LEVELS):
+        mid = 0.5 * (lo + hi)
+        # a bracket between adjacent floats no longer moves
+        if ((mid == lo) | (mid == hi)).all():
+            break
+        tree = np.empty((lo.size, width + 1))
+        tree[:, 0] = lo
+        tree[:, width] = hi
+        step = width
+        while step > 1:
+            half = step // 2
+            tree[:, half::step] = 0.5 * (tree[:, :-1:step] + tree[:, step::step])
+            step = half
+        labels = classify_many(xb, xb - rho * np.log(tree[:, 1:-1]), a2, b2)
+        left = np.zeros(lo.size, dtype=np.intp)
+        half = width // 2
+        while half:
+            left[labels[rows, left + half - 1] == left_label] += half
+            half //= 2
+        lo = tree[rows, left]
+        hi = tree[rows, left + 1]
+    return 0.5 * (lo + hi)
+
+
 def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
                    b2: float) -> np.ndarray:
     """Row c is the Beta(s_shape) mass of each event's share of s in (0,1)
@@ -57,17 +93,8 @@ def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
 
     # brackets ordered by column, then by s within a column
     col, k = np.nonzero(labels[:, 1:] != labels[:, :-1])
-    lo = s[k]
-    hi = s[k + 1]
     left_label = labels[col, k]
-    xb = x[col]
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        lab_mid = classify_many(xb, xb - rho * np.log(mid), a2, b2)
-        take_lo = lab_mid == left_label
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    cuts = 0.5 * (lo + hi)
+    cuts = _bisect(s[k], s[k + 1], left_label, x[col, None], rho, a2, b2)
 
     # column c splits (0,1) into one more segment than it has cuts; the i-th
     # cut (in column col[i]) closes segment i + col[i] and opens the next
@@ -117,8 +144,8 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
                                    max_panels: int = _MAX_PANELS) -> EventProbabilities:
     """All four event probabilities by adaptive 2-D quadrature of the joint
     density against the classifier indicator.  Deterministic for fixed tol."""
-    if tol < 1e-10:
-        raise ValueError(f"tol must be >= 1e-10, got {tol}")
+    if not 1e-10 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 1e-10, got {tol}")
     # adaptive bisected Gauss: error of a panel is |whole - (left + right)|,
     # refined breadth-first by a worst-first heap with a global budget
     heap = []

@@ -308,7 +308,17 @@ class TestQuadratureOracle:
         (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
          ("0x1.05f3f760d49ebp-4", "0x1.f598f1d1a2c14p-4",
           "0x1.a07d27dbcb42fp-1", "0x1.13afde5d1165ep-13")),
-    ], ids=["b2_0.3", "m4_n5_25dB"])
+        (PairingConfig(20, 3, 17, 300.0), 0.1, 0.7, 1e-7,
+         ("0x0.0p+0", "0x1.4de8633f10498p-29",
+          "0x1.fff2de34c3918p-1", "0x1.a436cbbd08594p-14")),
+        (PairingConfig(10, 1, 10, RHO25), 0.3, 0.5, 1e-6,
+         ("0x1.bcde688b7054fp-1", "0x1.0c865dd23ead2p-3",
+          "0x0.0p+0", "0x0.0p+0")),
+        (PairingConfig(2000, 230, 250, 10.0), 0.4, 0.5, 1e-6,
+         ("0x1.6a6b287074583p-2", "0x1.f4b5ab28e4179p-2",
+          "0x1.41be58cd52c70p-3", "0x1.63eeeaa8effbap-124")),
+    ], ids=["b2_0.3", "m4_n5_25dB", "b2_0.7_tol1e-7", "a2_0.3_m1_n10",
+            "M2000"])
     def test_pinned_output(self, cfg, a2, b2, tol, expect):
         # exact values: any change to the panels refined, their order or the
         # per-node arithmetic moves the last bits
@@ -325,12 +335,19 @@ class TestQuadratureOracle:
         monkeypatch.setattr(quadrature, "classify_many", counting)
         cfg = PairingConfig(10, 4, 5, RHO25)
         event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25), tol=1e-6)
-        # each step is one (columns x probes) call plus 60 bisection calls
-        # on the flat brackets of all its columns
-        steps = [i for i, shape in enumerate(shapes) if len(shape) == 2]
-        assert steps == list(range(0, len(shapes), 61))
-        assert all(len(shape) == 1 for i, shape in enumerate(shapes)
-                   if i not in steps)
+        # each step is one (columns x probes) call, then bisection calls on
+        # the brackets of all its columns; each classifies the 2**L - 1
+        # interior points of the depth-L bisection tree below every bracket
+        assert all(len(shape) == 2 for shape in shapes)
+        probes = shapes[0][1]
+        steps = [i for i, shape in enumerate(shapes) if shape[1] == probes]
+        (width,) = {shape[1] for shape in shapes if shape[1] != probes}
+        levels = (width + 1).bit_length() - 1
+        assert 2**levels == width + 1 and levels >= 2
+        # the 60-halving cap is never reached: every bracket collapses onto
+        # adjacent floats first
+        bisect_calls = np.diff(steps + [len(shapes)]) - 1
+        assert all(1 <= c < math.ceil(60 / levels) for c in bisect_calls)
         # 8 starting panels and their 16 halves (8 nodes each) make the first
         # step; each refined panel then adds its 4 quarters; 14 are refined
         assert [shapes[i][0] for i in steps] == [192] + [32] * 14
@@ -346,8 +363,9 @@ class TestQuadratureOracle:
 
     def test_tolerance_validation(self):
         cfg = PairingConfig(6, 2, 5, 100.0)
-        with pytest.raises(ValueError):
-            event_probabilities_quadrature(cfg, 0.2, tol=1e-12)
+        for tol in (1e-12, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                event_probabilities_quadrature(cfg, 0.2, tol=tol)
 
     def test_budget_exhaustion_raises(self):
         cfg = PairingConfig(10, 2, 7, RHO25)

@@ -140,6 +140,27 @@ class TestA2Mode:
         assert "a2 mode must be" in capsys.readouterr().err
 
 
+class TestNonFiniteInputs:
+    # NaN fails every comparison, so a range check written as "reject if
+    # out of range" lets it through; the CLI must still exit 2
+    @pytest.mark.parametrize("command", [["events", "--m", "2", "--n", "7"],
+                                         ["sweep-n", "--M", "4"]])
+    @pytest.mark.parametrize("method", ["quadrature", "mc"])
+    @pytest.mark.parametrize("split", [["--a2-mode", "fixed:nan"],
+                                       ["--b2", "nan"]])
+    def test_nan_split_is_usage_error(self, command, method, split, capsys):
+        rc = main([*command, "--method", method, *split, "--trials", "1000"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_quad_tol_is_usage_error(self, tol, capsys):
+        rc = main(["events", "--m", "2", "--n", "7", "--method", "quadrature",
+                   "--quad-tol", tol])
+        assert rc == EXIT_USAGE
+        assert "tol must be finite" in capsys.readouterr().err
+
+
 class TestSweepN:
     def test_row_count_and_monotonicity(self, tmp_path):
         out = tmp_path / "sweep.csv"
