@@ -56,7 +56,8 @@ def joint_pdf(x, y, cfg: PairingConfig):
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
+    # written so that NaN fails the check
+    if not ((x > 0.0).all() and (y > 0.0).all()):
         raise ValueError("SNR arguments must be positive")
     (a_u, b_u), (a_s, b_s) = cfg.u_shape, cfg.s_shape
     rho = cfg.rho
@@ -73,7 +74,8 @@ def joint_pdf(x, y, cfg: PairingConfig):
 def marginal_cdf_n(t, cfg: PairingConfig):
     """CDF of the n-th order statistic: P(at least n of M draws <= t)."""
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0.0):
+    # written so that NaN fails the check
+    if not (t >= 0.0).all():
         raise ValueError("t must be nonnegative")
     out = bdtrc(cfg.n - 1, cfg.M, -np.expm1(-t / cfg.rho))
     return float(out) if out.ndim == 0 else out

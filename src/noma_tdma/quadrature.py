@@ -11,18 +11,23 @@ bisection on the (black-box) classifier and the mass of each labelled
 segment is a difference of the Beta(s_shape) CDF `betainc`.  The outer
 u-integral against the Beta(u_shape) density is then done with adaptive
 Gauss-Legendre panels refined near the kinks the event boundaries induce.
+Its one jump, where x crosses the E1 threshold and a column goes from
+holding no E1 to being all E1, is found first and made a starting panel
+edge, since a panel's error estimate does not see a jump inside it.
 
-Every u-column of one refinement step is classified together: one
-classifier call on the (columns x probes) grid, then one call per
-_BISECT_LEVELS halvings over the brackets of all columns, until every
-bracket has collapsed onto adjacent floats (~47-52 halvings, capped at
-_BISECT_ITERS).  A step therefore costs about 1 + 12 classifier calls,
-whatever the number of columns.
+Classifier calls: one on a u-grid to find where E1 membership changes,
+and about 12 more to bisect those changes onto adjacent floats; then per
+refinement step, all its u-columns together, one call on the (columns x
+probes) grid and one call per _BISECT_LEVELS halvings over the brackets of
+all columns, until every bracket has collapsed onto adjacent floats
+(~47-52 halvings, capped at _BISECT_ITERS).  A step therefore costs about
+1 + 12 classifier calls, whatever the number of columns.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 
 import numpy as np
 from scipy.special import betainc, betaln
@@ -39,7 +44,7 @@ _MAX_PANELS = 4096
 def _s_probe_grid() -> np.ndarray:
     """Coarse s-samples used to bracket label changes: uniform in the bulk,
     geometric toward both endpoints so boundaries hugging s=0 (y -> inf) or
-    s=1 (y -> x) are still detected."""
+    s=1 (y -> x) are still detected.  The E1 scan reuses it as a u-grid."""
     tails = 2.0 ** -np.arange(6, 44, 2.0)
     bulk = (np.arange(64) + 0.5) / 64
     return np.unique(np.concatenate((tails, bulk, 1.0 - tails)))
@@ -49,10 +54,11 @@ _SPROBES = _s_probe_grid()
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, left_label: np.ndarray,
-            xb: np.ndarray, rho: float, a2: float, b2: float) -> np.ndarray:
-    """Bisect every bracket (lo, hi) of s on its label change; lo keeps
-    left_label.  One classifier call labels the depth-_BISECT_LEVELS
-    bisection tree below each bracket, which is then walked level by level
+            label: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Bisect every bracket (lo, hi) on its label change; lo keeps
+    left_label.  `label` maps a (brackets x points) array to its labels, one
+    row per bracket.  One call labels the depth-_BISECT_LEVELS bisection
+    tree below each bracket, which is then walked level by level
     (label(mid) == left_label -> lo = mid), so the points visited and the
     cuts returned are those of one halving per call."""
     rows = np.arange(lo.size)
@@ -70,7 +76,7 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, left_label: np.ndarray,
             half = step // 2
             tree[:, half::step] = 0.5 * (tree[:, :-1:step] + tree[:, step::step])
             step = half
-        labels = classify_many(xb, xb - rho * np.log(tree[:, 1:-1]), a2, b2)
+        labels = label(tree[:, 1:-1])
         left = np.zeros(lo.size, dtype=np.intp)
         half = width // 2
         while half:
@@ -79,6 +85,26 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, left_label: np.ndarray,
         lo = tree[rows, left]
         hi = tree[rows, left + 1]
     return 0.5 * (lo + hi)
+
+
+def _e1_jumps(cfg: PairingConfig, a2: float, b2: float) -> np.ndarray:
+    """The u at which a column starts or stops holding E1.
+
+    E1 (R1N < R1T) is decided by x alone, so a u-column is either all E1
+    or holds none, and its E1 mass jumps where membership changes; the
+    other events only change through kinks.  Membership is read at s = 1/2
+    on the u-grid _SPROBES, and each change is bisected onto adjacent
+    floats."""
+    rho = cfg.rho
+
+    def holds_e1(u: np.ndarray) -> np.ndarray:
+        x = -rho * np.log(u)
+        return classify_many(x, x + rho * math.log(2.0), a2, b2) == 1
+
+    u = _SPROBES
+    e1 = holds_e1(u)
+    k = np.flatnonzero(e1[1:] != e1[:-1])
+    return _bisect(u[k], u[k + 1], e1[k], holds_e1)
 
 
 def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
@@ -94,7 +120,9 @@ def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
     # brackets ordered by column, then by s within a column
     col, k = np.nonzero(labels[:, 1:] != labels[:, :-1])
     left_label = labels[col, k]
-    cuts = _bisect(s[k], s[k + 1], left_label, x[col, None], rho, a2, b2)
+    xb = x[col, None]
+    cuts = _bisect(s[k], s[k + 1], left_label,
+                   lambda sb: classify_many(xb, xb - rho * np.log(sb), a2, b2))
 
     # column c splits (0,1) into one more segment than it has cuts; the i-th
     # cut (in column col[i]) closes segment i + col[i] and opens the next
@@ -158,9 +186,11 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
         counter += 1
         heapq.heappush(heap, (-err, counter, lo, 0.5 * (lo + hi), hi, left, right))
 
-    # the starting panels and their halves form the first batch
-    n_start = 8
-    starts = [(i / n_start, (i + 1) / n_start) for i in range(n_start)]
+    # the starting panels, split at every jump of the E1 mass, and their
+    # halves form the first batch
+    edges = np.union1d(np.linspace(0.0, 1.0, 9), _e1_jumps(cfg, a2, b2))
+    starts = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+    n_start = len(starts)
     est = _gauss8(starts + [h for lo, hi in starts for h in _halves(lo, hi)],
                   cfg, a2, b2)
     for (lo, hi), whole, left, right in zip(starts, est[:n_start],

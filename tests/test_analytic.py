@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from noma_tdma import analytic, quadrature
@@ -268,6 +269,19 @@ def test_closed_forms_match_mpmath_up_to_m200(M, m, n, rho_db, a2_mode):
     assert probs.as_tuple() == pytest.approx(expect, abs=1e-12)
 
 
+@st.composite
+def _event_points(draw):
+    """(cfg, a2) with M <= 40, 6.1-40 dB, and a2 = 1/sqrt(rho), uniform on
+    [0.01, 1/2] or the special split."""
+    M = draw(st.integers(2, 40))
+    m = draw(st.integers(1, M - 1))
+    n = draw(st.integers(m + 1, M))
+    rho = 10.0**(draw(st.floats(6.1, 40.0)) / 10.0)
+    a2 = draw(st.one_of(st.just(1.0 / math.sqrt(rho)), st.floats(0.01, 0.5),
+                        st.just(optimal_a2_special(rho))))
+    return PairingConfig(M, m, n, rho), a2
+
+
 class TestQuadratureOracle:
     def test_partition_of_unity(self):
         cfg = PairingConfig(10, 2, 7, RHO25)
@@ -303,20 +317,20 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("cfg, a2, b2, tol, expect", [
         (PairingConfig(6, 2, 5, 100.0), 0.2, 0.3, 1e-5,
-         ("0x1.fd9524de57c08p-1", "0x1.356d5e68d4cc6p-8",
-          "0x1.333829dbf72d5p-27", "0x1.8088b7bbccfc7p-29")),
+         ("0x1.fd94f86b66f88p-1", "0x1.358397e138c7bp-8",
+          "0x1.6466c891f5a31p-27", "0x1.779c79c78bba3p-30")),
         (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
-         ("0x1.05f3f760d49ebp-4", "0x1.f598f1d1a2c14p-4",
-          "0x1.a07d27dbcb42fp-1", "0x1.13afde5d1165ep-13")),
+         ("0x1.05f266cc85f68p-4", "0x1.f59a8265934e0p-4",
+          "0x1.a07d27dbd7067p-1", "0x1.13afde5d1165ep-13")),
         (PairingConfig(20, 3, 17, 300.0), 0.1, 0.7, 1e-7,
-         ("0x0.0p+0", "0x1.4de8633f10498p-29",
+         ("0x1.b53dcfc8c64e3p-177", "0x1.4de8633f10497p-29",
           "0x1.fff2de34c3918p-1", "0x1.a436cbbd08594p-14")),
         (PairingConfig(10, 1, 10, RHO25), 0.3, 0.5, 1e-6,
-         ("0x1.bcde688b7054fp-1", "0x1.0c865dd23ead2p-3",
+         ("0x1.bcde5c61fc8c2p-1", "0x1.0c868e780dcfcp-3",
           "0x0.0p+0", "0x0.0p+0")),
         (PairingConfig(2000, 230, 250, 10.0), 0.4, 0.5, 1e-6,
-         ("0x1.6a6b287074583p-2", "0x1.f4b5ab28e4179p-2",
-          "0x1.41be58cd52c70p-3", "0x1.63eeeaa8effbap-124")),
+         ("0x1.6a6b0f9958b60p-2", "0x1.f4b5c400006fbp-2",
+          "0x1.41be58cd4cf39p-3", "0x1.60216c38b018bp-123")),
     ], ids=["b2_0.3", "m4_n5_25dB", "b2_0.7_tol1e-7", "a2_0.3_m1_n10",
             "M2000"])
     def test_pinned_output(self, cfg, a2, b2, tol, expect):
@@ -335,22 +349,26 @@ class TestQuadratureOracle:
         monkeypatch.setattr(quadrature, "classify_many", counting)
         cfg = PairingConfig(10, 4, 5, RHO25)
         event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25), tol=1e-6)
-        # each step is one (columns x probes) call, then bisection calls on
-        # the brackets of all its columns; each classifies the 2**L - 1
-        # interior points of the depth-L bisection tree below every bracket
-        assert all(len(shape) == 2 for shape in shapes)
-        probes = shapes[0][1]
-        steps = [i for i, shape in enumerate(shapes) if shape[1] == probes]
-        (width,) = {shape[1] for shape in shapes if shape[1] != probes}
+        # one scan call on a u-grid as long as the s-probe grid, bisection
+        # calls onto the E1 jump, then per refinement step one (columns x
+        # probes) call and bisection calls on the brackets of all its
+        # columns; each bisection call classifies the 2**L - 1 interior
+        # points of the depth-L bisection tree below every bracket
+        (probes,) = shapes[0]
+        assert all(len(shape) == 2 for shape in shapes[1:])
+        steps = [i for i, shape in enumerate(shapes) if shape[1:] == (probes,)]
+        (width,) = {shape[1] for shape in shapes[1:] if shape[1] != probes}
         levels = (width + 1).bit_length() - 1
         assert 2**levels == width + 1 and levels >= 2
         # the 60-halving cap is never reached: every bracket collapses onto
         # adjacent floats first
+        assert 1 <= steps[0] - 1 <= math.ceil(60 / levels)
         bisect_calls = np.diff(steps + [len(shapes)]) - 1
         assert all(1 <= c < math.ceil(60 / levels) for c in bisect_calls)
-        # 8 starting panels and their 16 halves (8 nodes each) make the first
-        # step; each refined panel then adds its 4 quarters; 14 are refined
-        assert [shapes[i][0] for i in steps] == [192] + [32] * 14
+        # the 8 starting panels, split at the one jump, and their 18 halves
+        # (8 nodes each) make the first step; each refined panel then adds
+        # its 4 quarters; 3 are refined
+        assert [shapes[i][0] for i in steps] == [216] + [32] * 3
 
     def test_large_population(self):
         # the Beta(u_shape) normaliser underflows and w1 overflows a float at
@@ -368,7 +386,35 @@ class TestQuadratureOracle:
                 event_probabilities_quadrature(cfg, 0.2, tol=tol)
 
     def test_budget_exhaustion_raises(self):
-        cfg = PairingConfig(10, 2, 7, RHO25)
-        with pytest.raises(ConvergenceError):
+        # the budget runs out during refinement, not at the start
+        cfg = PairingConfig(10, 4, 5, RHO25)
+        with pytest.raises(ConvergenceError, match=r"panels refined: [1-9]"):
             event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25),
                                            tol=1e-9, max_panels=16)
+
+    @pytest.mark.parametrize("M, m, n, rho_db, a2, tol", [
+        (38, 26, 27, 39.2, 0.010971, 1e-6),
+        # the jump lies within 1e-4 of u = 1
+        (6, 1, 4, 28.04, 0.496617, 1e-6),
+        (10, 4, 5, 25.0, None, 1e-8),
+    ])
+    def test_e1_jump_within_tol(self, M, m, n, rho_db, a2, tol):
+        # the E1 mass of a u-column jumps from none to all of it where x
+        # crosses the E1 threshold; with the jump inside a panel, the panel's
+        # error estimate misses it and P(E1), P(E2) drift past tol
+        rho = 10.0**(rho_db / 10.0)
+        a2 = a2 or 1.0 / math.sqrt(rho)
+        cfg = PairingConfig(M, m, n, rho)
+        quad = event_probabilities_quadrature(cfg, a2, tol=tol)
+        closed = event_probabilities_closed(cfg, a2)
+        assert quad.p1 == pytest.approx(closed.p1, abs=tol)
+        assert quad.p2 == pytest.approx(closed.p2, abs=tol)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_event_points())
+    def test_e1_e2_within_tol_of_closed_forms(self, point):
+        cfg, a2 = point
+        quad = event_probabilities_quadrature(cfg, a2, tol=1e-6)
+        closed = event_probabilities_closed(cfg, a2)
+        assert quad.p1 == pytest.approx(closed.p1, abs=1e-6)
+        assert quad.p2 == pytest.approx(closed.p2, abs=1e-6)

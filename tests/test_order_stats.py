@@ -62,6 +62,12 @@ class TestJointPdf:
         with pytest.raises(ValueError):
             joint_pdf(1.0, 0.0, cfg)
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.nan),
+                                      ([0.5, math.nan], 1.0)])
+    def test_nan_raises(self, x, y):
+        with pytest.raises(ValueError):
+            joint_pdf(x, y, PairingConfig(10, 2, 7, 100.0))
+
     def test_large_population(self):
         # 1/(B(u_shape) B(s_shape)) overflows a float at M = 700; compare with
         # the two Beta densities times the Jacobian u s / rho^2
@@ -97,6 +103,11 @@ class TestMarginalCdf:
         cfg = PairingConfig(10, 3, 8, 2.0)
         assert marginal_cdf_n(0.0, cfg) == 0.0
         assert marginal_cdf_n(1e6, cfg) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [math.nan, [1.0, math.nan], -1.0])
+    def test_outside_domain_raises(self, t):
+        with pytest.raises(ValueError):
+            marginal_cdf_n(t, PairingConfig(10, 2, 7, 100.0))
 
     def test_two_user_binomial(self):
         # M=2, n=2, rho=1, t=ln 2: F = 1/2, CDF = F^2 = 1/4
