@@ -12,19 +12,14 @@ from .regions import (
     tdma_rate_pair,
     noma_boundary,
     tdma_boundary,
-    noma_boundary_slope,
     noma_arc_z_max,
     region_boundary_samples,
 )
 from .events import (
-    EventId,
     DegenerateSplitError,
     ClassificationError,
-    classify_full,
-    classify_reduced,
     classify_many,
     e2_threshold,
-    epsilon2_threshold,
 )
 from .order_stats import (
     PairingConfig,

@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import __version__, analytic, montecarlo, quadrature, validation
-from .analytic import ConvergenceError
+from .analytic import ConvergenceError, EventProbabilities
 from .montecarlo import McConfig, RNG_SCHEME
 from .order_stats import PairingConfig
 from .regions import (
@@ -58,6 +58,8 @@ def _rows_to_json(header: list[str], rows: list[list], manifest: dict) -> str:
 
 
 def _manifest(args: argparse.Namespace) -> dict:
+    """What determines the data; the run's timestamp is added only to the
+    sidecar manifest, so a JSON data file embedding this is reproducible."""
     params = {k: v for k, v in vars(args).items() if k != "func"}
     return {
         "command": args.command,
@@ -65,7 +67,6 @@ def _manifest(args: argparse.Namespace) -> dict:
         "seed": getattr(args, "seed", None),
         "rng_scheme": RNG_SCHEME,
         "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
 
@@ -80,6 +81,8 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list]) -> None
         return
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
+    manifest["timestamp"] = datetime.datetime.now(
+        datetime.timezone.utc).isoformat()
     manifest["outputs"] = {
         args.out: hashlib.sha256(payload.encode("utf-8")).hexdigest()}
     with open(args.out + ".manifest.json", "w", encoding="utf-8",
@@ -137,24 +140,19 @@ def _methods(args: argparse.Namespace) -> list[str]:
     return methods
 
 
-def _event_rows(cfg: PairingConfig, a2: float, b2: float, methods: list[str],
-                args: argparse.Namespace) -> list[list]:
-    rows = []
-    for method in methods:
-        stderr = ("", "", "", "")
-        if method == "closed":
-            p = analytic.event_probabilities_closed(cfg, a2).as_tuple()
-        elif method == "quadrature":
-            p = quadrature.event_probabilities_quadrature(
-                cfg, a2, b2, args.quad_tol).as_tuple()
-        else:
-            est = montecarlo.estimate_event_probs(
-                cfg, a2, b2, McConfig(trials=args.trials, seed=args.seed,
-                                      shards=args.shards))
-            p = est.as_tuple()
-            stderr = est.stderr
-        rows.append([cfg.m, cfg.n, method, *p, *stderr])
-    return rows
+def _mc_config(args: argparse.Namespace) -> McConfig:
+    return McConfig(trials=args.trials, seed=args.seed, shards=args.shards)
+
+
+def _solve(method: str, cfg: PairingConfig, a2: float,
+           args: argparse.Namespace) -> EventProbabilities:
+    """The four event probabilities at the time split args.b2 by one method."""
+    if method == "closed":
+        return analytic.event_probabilities_closed(cfg, a2)
+    if method == "quadrature":
+        return quadrature.event_probabilities_quadrature(
+            cfg, a2, args.b2, args.quad_tol)
+    return montecarlo.estimate_event_probs(cfg, a2, args.b2, _mc_config(args))
 
 
 EVENTS_HEADER = ["m", "n", "method", "p_e1", "p_e2", "p_e3", "p_e4",
@@ -165,12 +163,19 @@ def cmd_events(args: argparse.Namespace) -> int:
     rho = 10.0**(args.rho_db / 10.0)
     cfg = PairingConfig(args.M, args.m, args.n, rho)
     a2 = _resolve_a2(args.a2_mode, rho)
-    rows = _event_rows(cfg, a2, args.b2, _methods(args), args)
+    rows = []
+    for method in _methods(args):
+        est = _solve(method, cfg, a2, args)
+        rows.append([cfg.m, cfg.n, method, *est.as_tuple(),
+                     *(est.stderr or ("",) * 4)])
     _emit(args, EVENTS_HEADER, rows)
     return EXIT_OK
 
 
 def cmd_sweep_n(args: argparse.Namespace) -> int:
+    if not 1 <= args.m < args.M:
+        raise ValueError(f"sweep-n needs 1 <= m < M, got m={args.m}, "
+                         f"M={args.M}")
     rho = 10.0**(args.rho_db / 10.0)
     a2 = _resolve_a2(args.a2_mode, rho)
     methods = _methods(args)
@@ -179,22 +184,13 @@ def cmd_sweep_n(args: argparse.Namespace) -> int:
     for n in range(args.m + 1, args.M + 1):
         cfg = PairingConfig(args.M, args.m, n, rho)
         for method in methods:
-            if method == "closed":
-                p2, se = analytic.p_eps2_closed(cfg, a2), ""
-            elif method == "quadrature":
-                p2, se = quadrature.event_probabilities_quadrature(
-                    cfg, a2, args.b2, args.quad_tol).p2, ""
-            else:
-                est = montecarlo.estimate_event_probs(
-                    cfg, a2, args.b2,
-                    McConfig(trials=args.trials, seed=args.seed,
-                             shards=args.shards))
-                p2, se = est.p2, est.stderr[1]
+            est = _solve(method, cfg, a2, args)
+            p2 = est.p2
             if method in prev and p2 < prev[method] - 1e-9:
                 print(f"warning: p_e2 not non-decreasing at n={n} "
                       f"({method}: {prev[method]} -> {p2})", file=sys.stderr)
             prev[method] = p2
-            rows.append([n, method, p2, se])
+            rows.append([n, method, p2, est.stderr[1] if est.stderr else ""])
     _emit(args, ["n", "method", "p_e2", "stderr_e2"], rows)
     return EXIT_OK
 
@@ -205,9 +201,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
         rho = 10.0**(rho_db / 10.0)
         cfg = PairingConfig(args.M, args.m, args.n, rho)
         a2 = analytic.optimal_a2_special(rho)
-        est = montecarlo.estimate_average_rates(
-            cfg, a2, 0.5, McConfig(trials=args.trials, seed=args.seed,
-                                   shards=args.shards))
+        est = montecarlo.estimate_average_rates(cfg, a2, 0.5,
+                                                _mc_config(args))
         rows.append([rho_db, est.r1_noma, est.r2_noma, est.r1_tdma,
                      est.r2_tdma, *est.stderr])
     _emit(args, ["rho_db", "r1_noma", "r2_noma", "r1_tdma", "r2_tdma",

@@ -12,11 +12,10 @@ four subsegments; the event index says which subsegment T falls on:
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 
 import numpy as np
 
-from .regions import ChannelPair, PowerSplit, TimeSplit, noma_rates, tdma_rates
+from .regions import noma_rates, tdma_rates
 
 #: comparisons closer than this are ties, broken toward the lower event id
 TIE_TOL = 1e-12
@@ -31,28 +30,12 @@ class ClassificationError(RuntimeError):
     """No event condition matched; indicates a numerical tie slipped through."""
 
 
-class EventId(Enum):
-    E1 = 1
-    E2 = 2
-    E3 = 3
-    E4 = 4
-
-
-# Required signs per event; None = condition not used (reduced definitions).
-# Ties (sign 0) match either direction, and events are tried in id order,
-# which implements the lower-id tie-break deterministically.
-_FULL_CONDITIONS = [
-    (EventId.E1, (-1, +1, +1)),
-    (EventId.E2, (+1, +1, +1)),
-    (EventId.E3, (+1, -1, +1)),
-    (EventId.E4, (+1, -1, -1)),
-]
-_REDUCED_CONDITIONS = [
-    (EventId.E1, (-1, +1, None)),
-    (EventId.E2, (+1, +1, None)),
-    (EventId.E3, (None, -1, +1)),
-    (EventId.E4, (None, None, -1)),
-]
+# Required signs of E1..E4, in id order; None = condition not used (reduced
+# definitions).  Ties (sign 0) match either direction, and events are tried
+# in id order, which implements the lower-id tie-break deterministically.
+_FULL_CONDITIONS = [(-1, +1, +1), (+1, +1, +1), (+1, -1, +1), (+1, -1, -1)]
+_REDUCED_CONDITIONS = [(-1, +1, None), (+1, +1, None), (None, -1, +1),
+                       (None, None, -1)]
 
 
 def _label_table(conditions) -> np.ndarray:
@@ -60,32 +43,15 @@ def _label_table(conditions) -> np.ndarray:
     9*s1 + 3*s2 + s3 + 13; 0 where no event matches."""
     table = np.zeros(27, dtype=np.int8)
     for code, signs in enumerate(itertools.product((-1, 0, 1), repeat=3)):
-        for event, required in conditions:
+        for event, required in enumerate(conditions, start=1):
             if all(r is None or s in (0, r) for s, r in zip(signs, required)):
-                table[code] = event.value
+                table[code] = event
                 break
     return table
 
 
 _FULL_TABLE = _label_table(_FULL_CONDITIONS)
 _REDUCED_TABLE = _label_table(_REDUCED_CONDITIONS)
-
-
-def classify_full(ch: ChannelPair, p: PowerSplit, t: TimeSplit) -> EventId:
-    """Classify using all three comparisons of the full event definitions."""
-    p.require_noma()
-    return EventId(int(classify_many(ch.x, ch.y, p.a2, t.b2)))
-
-
-def classify_reduced(ch: ChannelPair, p: PowerSplit, t: TimeSplit) -> EventId:
-    """Classify using only the reduced (redundancy-free) conditions.
-
-    Its condition table is written independently of the full one, so
-    agreement between the two is a genuine check of the underlying boundary
-    geometry.
-    """
-    p.require_noma()
-    return EventId(int(classify_many(ch.x, ch.y, p.a2, t.b2, reduced=True)))
 
 
 def e2_threshold(a2: float) -> float:
@@ -95,22 +61,15 @@ def e2_threshold(a2: float) -> float:
     return (1.0 - 2.0 * a2) / a2**2
 
 
-def epsilon2_threshold(ch: ChannelPair, p: PowerSplit) -> bool:
-    """Threshold form of event E2 for the equal time split b2 = 1/2:
-    E2 occurs iff x < w2 < y."""
-    p.require_noma()
-    w2 = e2_threshold(p.a2)
-    return bool(ch.x < w2 < ch.y)
-
-
-def classify_many(x, y, a2, b2, reduced: bool = False,
-                  tol: float = TIE_TOL) -> np.ndarray:
+def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:
     """Vectorized classification; returns an int8 array of event ids 1..4.
 
     All four arguments broadcast against each other; scalar arguments give
-    a 0-d array.  Same tie-break as the scalar classifiers: each comparison
-    becomes a sign in {-1, 0, +1} (0 within tol), and the sign triple is
-    looked up in a 27-entry table derived from the condition tables.
+    a 0-d array.  Each comparison becomes a sign in {-1, 0, +1} (0 within
+    TIE_TOL), and the sign triple is looked up in a 27-entry table derived
+    from the condition tables.  The reduced table is written independently
+    of the full one, so agreement between the two is a genuine check of the
+    underlying boundary geometry.
     """
     a2 = np.asarray(a2, dtype=np.float64)
     b2 = np.asarray(b2, dtype=np.float64)
@@ -124,8 +83,8 @@ def classify_many(x, y, a2, b2, reduced: bool = False,
     r1n, r2n = noma_rates(x, y, a2)
     r1t, r2t = tdma_rates(x, y, b2)
     deltas = (r1n - r1t, r2n - r2t, (r1n + r2n) - (r1t + r2t))
-    s1, s2, s3 = (np.asarray(d > tol, dtype=np.int8)
-                  - np.asarray(d < -tol, dtype=np.int8) for d in deltas)
+    s1, s2, s3 = (np.asarray(d > TIE_TOL, dtype=np.int8)
+                  - np.asarray(d < -TIE_TOL, dtype=np.int8) for d in deltas)
     code = 9 * s1 + 3 * s2 + s3 + 13
     table = _REDUCED_TABLE if reduced else _FULL_TABLE
     out = np.asarray(table[code])

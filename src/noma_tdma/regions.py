@@ -172,20 +172,11 @@ def tdma_boundary(z: float, ch: ChannelPair) -> float:
     return float(f_tdma(_check_z(z, r2_star), ch.x, ch.y))
 
 
-def noma_boundary_slope(z: float, ch: ChannelPair) -> float:
-    """Analytic derivative of the NOMA boundary at strong-user rate z.
-
-    Evaluates f_noma_slope for z in [0, R2*].
-    """
-    _, r2_star = single_user_rates(ch)
-    return float(f_noma_slope(_check_z(z, r2_star), ch.x, ch.y))
-
-
 #: the capacity boundary is the NOMA curve, swept over all of a2 in [0, 1]
 _BOUNDARIES = {
-    "capacity": noma_boundary,
-    "noma": noma_boundary,
-    "tdma": tdma_boundary,
+    "capacity": f_noma,
+    "noma": f_noma,
+    "tdma": f_tdma,
 }
 
 
@@ -206,6 +197,6 @@ def region_boundary_samples(kind: str, ch: ChannelPair, count: int) -> list[Rate
         raise ValueError("count must be at least 2")
     _, r2_star = single_user_rates(ch)
     z_max = noma_arc_z_max(ch) if kind == "noma" else r2_star
-    fn = _BOUNDARIES[kind]
     z_grid = np.linspace(0.0, z_max, count)
-    return [RatePair(max(fn(float(z), ch), 0.0), float(z)) for z in z_grid]
+    r1 = np.maximum(_BOUNDARIES[kind](z_grid, ch.x, ch.y), 0.0)
+    return [RatePair(a, b) for a, b in zip(r1.tolist(), z_grid.tolist())]

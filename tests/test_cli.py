@@ -173,6 +173,15 @@ class TestSweepN:
         p2 = [float(r[2]) for r in rows]
         assert all(b >= a - 1e-12 for a, b in zip(p2, p2[1:]))
 
+    @pytest.mark.parametrize("m", ["0", "10", "12"])
+    def test_empty_sweep_is_usage_error(self, m, capsys):
+        # n runs over m+1..M, so m must satisfy 1 <= m < M
+        rc = main(["sweep-n", "--M", "10", "--m", m, "--method", "closed"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1 <= m < M" in captured.err
+
     @pytest.mark.parametrize("method", ["closed", "all"])
     def test_closed_form_rejects_unequal_time_split(self, method, capsys):
         rc = main(["sweep-n", "--M", "4", "--method", method, "--b2", "0.2"])
@@ -212,16 +221,22 @@ class TestValidate:
 
 
 class TestManifest:
-    def test_manifest_written_and_rerun_byte_identical(self, tmp_path):
-        out = tmp_path / "events.csv"
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_manifest_written_and_rerun_byte_identical(self, fmt, tmp_path):
+        # the sidecar manifest carries the run's timestamp; the data file,
+        # JSON with its embedded manifest included, does not
+        out = tmp_path / f"events.{fmt}"
         argv = ["events", "--m", "2", "--n", "7", "--method", "mc",
-                "--trials", "30000", "--seed", "17", "--out", str(out)]
+                "--trials", "30000", "--seed", "17", "--format", fmt,
+                "--out", str(out)]
         assert main(argv) == EXIT_OK
         first = out.read_bytes()
-        manifest = json.loads((tmp_path / "events.csv.manifest.json").read_text())
+        manifest = json.loads(
+            (tmp_path / f"events.{fmt}.manifest.json").read_text())
         assert manifest["command"] == "events"
         assert manifest["seed"] == 17
         assert manifest["rng_scheme"].startswith("philox")
+        assert "timestamp" in manifest
         assert str(out) in manifest["outputs"]
 
         assert main(argv) == EXIT_OK

@@ -1,4 +1,5 @@
 import math
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -8,21 +9,19 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 from noma_tdma import (
     ChannelPair,
     DegenerateSplitError,
-    EventId,
-    InfeasibleSplitError,
-    PowerSplit,
-    TimeSplit,
-    classify_full,
     classify_many,
-    classify_reduced,
     e2_threshold,
-    epsilon2_threshold,
     single_user_rates,
 )
 from noma_tdma.regions import noma_rates, tdma_rates
 
 
-HALF = TimeSplit(0.5)
+class EventId(Enum):
+    """Names of the event ids that classify_many returns (test labels)."""
+    E1 = 1
+    E2 = 2
+    E3 = 3
+    E4 = 4
 
 
 def events_by_definition(x, y, a2, b2):
@@ -52,22 +51,17 @@ class TestClassifyFull:
         (4.0, 6.0, 0.25, EventId.E3),   # sum won, strong user's rate lost
     ])
     def test_examples(self, x, y, a2, expected):
-        ch = ChannelPair(x, y)
-        assert classify_full(ch, PowerSplit(a2), HALF) == expected
-        assert classify_reduced(ch, PowerSplit(a2), HALF) == expected
+        for reduced in (False, True):
+            assert classify_many(x, y, a2, 0.5,
+                                 reduced=reduced) == expected.value
 
     def test_degenerate_splits_rejected(self):
-        ch = ChannelPair(1.0, 3.0)
-        with pytest.raises(DegenerateSplitError):
-            classify_full(ch, PowerSplit(0.0), HALF)
-        for classify in (classify_full, classify_reduced):
-            with pytest.raises(InfeasibleSplitError):
-                classify(ch, PowerSplit(0.6), HALF)
-        for b2 in (0.0, 1.0):
-            with pytest.raises(DegenerateSplitError):
-                classify_full(ch, PowerSplit(0.25), TimeSplit(b2))
-            with pytest.raises(DegenerateSplitError):
-                classify_reduced(ch, PowerSplit(0.25), TimeSplit(b2))
+        # a2 = 0 and b2 in {0, 1} put T at a segment endpoint; a2 > 1/2 is
+        # not a NOMA split
+        for reduced in (False, True):
+            for a2, b2 in ((0.0, 0.5), (0.6, 0.5), (0.25, 0.0), (0.25, 1.0)):
+                with pytest.raises(DegenerateSplitError):
+                    classify_many(1.0, 3.0, a2, b2, reduced=reduced)
 
 
 class TestEquivalence:
@@ -83,8 +77,8 @@ class TestEquivalence:
         assert np.array_equal(full, red)
 
     def test_scalar_vector_consistency(self):
-        # the scalar and vector classifiers, full and reduced, against the
-        # event definitions written out from the rates
+        # the full and reduced classifiers against the event definitions
+        # written out from the rates
         rng = np.random.default_rng(22)
         N = 20_000
         x = rng.uniform(0.1, 30.0, N)
@@ -96,11 +90,6 @@ class TestEquivalence:
         for reduced in (False, True):
             labels = classify_many(x, y, a2, b2, reduced=reduced)
             assert np.array_equal(labels[clear], expected[clear])
-        for i in np.flatnonzero(clear)[:200]:
-            args = (ChannelPair(x[i], y[i]), PowerSplit(a2[i]),
-                    TimeSplit(b2[i]))
-            assert classify_full(*args).value == expected[i]
-            assert classify_reduced(*args).value == expected[i]
 
     def test_tie_breaks_toward_lower_event(self):
         # R2N = log2(1.75) = R2T exactly, so both E2 and E3 match
@@ -108,10 +97,8 @@ class TestEquivalence:
         r1n, r2n = noma_rates(x, y, a2)
         r1t, r2t = tdma_rates(x, y, b2)
         assert r2n - r2t == 0.0 and r1n > r1t
-        args = (ChannelPair(x, y), PowerSplit(a2), TimeSplit(b2))
-        assert classify_full(*args) == EventId.E2
-        assert classify_reduced(*args) == EventId.E2
         for reduced in (False, True):
+            assert classify_many(x, y, a2, b2, reduced=reduced) == 2
             assert classify_many([x], [y], a2, b2, reduced=reduced)[0] == 2
 
 
@@ -164,13 +151,14 @@ class TestEpsilon2Threshold:
         for a2 in (0.0, 0.6):
             with pytest.raises(DegenerateSplitError):
                 e2_threshold(a2)
-        assert epsilon2_threshold(ChannelPair(1.0, 20.0), PowerSplit(0.25))
-        assert not epsilon2_threshold(ChannelPair(1.0, 3.0), PowerSplit(0.25))
+        # E2 iff x < w2 < y at b2 = 1/2
+        assert classify_many(1.0, 20.0, 0.25, 0.5) == 2
+        assert classify_many(1.0, 3.0, 0.25, 0.5) != 2
 
     def test_boundary_power_split(self):
         # a2 = 1/2 gives w2 = 0: no positive x can satisfy x < w2
-        assert not epsilon2_threshold(ChannelPair(1.0, 3.0), PowerSplit(0.5))
-        assert not epsilon2_threshold(ChannelPair(0.01, 1e6), PowerSplit(0.5))
+        assert classify_many(1.0, 3.0, 0.5, 0.5) != 2
+        assert classify_many(0.01, 1e6, 0.5, 0.5) != 2
 
     def test_matches_classifier_at_equal_time_split(self):
         rng = np.random.default_rng(23)
@@ -179,11 +167,8 @@ class TestEpsilon2Threshold:
         y = x * (1 + rng.uniform(1e-3, 30.0, N))
         a2 = rng.uniform(0.01, 0.5, N)
         w2 = (1.0 - 2.0 * a2) / a2**2
-        is_e2 = classify_many(x, y, a2, 0.5) == EventId.E2.value
+        is_e2 = classify_many(x, y, a2, 0.5) == 2
         assert np.array_equal(is_e2, (x < w2) & (w2 < y))
-        for i in range(200):
-            ch = ChannelPair(x[i], y[i])
-            assert epsilon2_threshold(ch, PowerSplit(a2[i])) == is_e2[i]
 
 
 class TestGeometry:

@@ -17,7 +17,7 @@ from noma_tdma import (
 )
 from noma_tdma import montecarlo
 from noma_tdma.events import classify_many
-from noma_tdma.montecarlo import BLOCK_SIZE, _block_rng
+from noma_tdma.montecarlo import BLOCK_SIZE
 from noma_tdma.regions import noma_rates
 
 RHO25 = 10.0**2.5
@@ -65,7 +65,9 @@ class TestEventEstimates:
 
     def test_single_trial_matches_direct_draw(self):
         est = estimate_event_probs(CFG, A2, 0.5, McConfig(trials=1, seed=3))
-        x, y = sample_pairs(CFG, _block_rng(3, 0), 1)
+        # block 0 of seed 3 draws from the documented stream
+        rng = np.random.Generator(np.random.Philox(key=3).jumped(0))
+        x, y = sample_pairs(CFG, rng, 1)
         label = int(classify_many(x, y, A2, 0.5)[0])
         assert est.as_tuple()[label - 1] == 1.0
 

@@ -11,13 +11,13 @@ from noma_tdma import (
     TimeSplit,
     noma_arc_z_max,
     noma_boundary,
-    noma_boundary_slope,
     noma_rate_pair,
     region_boundary_samples,
     single_user_rates,
     tdma_boundary,
     tdma_rate_pair,
 )
+from noma_tdma.regions import f_noma_slope
 
 
 CH13 = ChannelPair(1.0, 3.0)
@@ -176,7 +176,7 @@ class TestBoundaries:
             r2s = single_user_rates(ch)[1]
             z = rng.uniform(2 * h, r2s - 2 * h)
             fd = (noma_boundary(z + h, ch) - noma_boundary(z - h, ch)) / (2 * h)
-            an = noma_boundary_slope(z, ch)
+            an = f_noma_slope(z, ch.x, ch.y)
             assert abs(fd - an) <= 1e-6 * abs(an)
 
 
@@ -200,6 +200,18 @@ class TestBoundarySamples:
         assert (pts[0].r1, pts[0].r2) == pytest.approx((1.0, 0.0), abs=1e-12)
         r1 = [p.r1 for p in pts]
         assert all(a >= b - 1e-12 for a, b in zip(r1, r1[1:]))
+
+    @pytest.mark.parametrize("kind,boundary", [("capacity", noma_boundary),
+                                               ("noma", noma_boundary),
+                                               ("tdma", tdma_boundary)])
+    @pytest.mark.parametrize("x,y", [(1.0, 3.0), (0.01, 1e6), (5.0, 5.0001),
+                                     (100.0, 3000.0), (1e-9, 2e-9)])
+    def test_matches_scalar_boundary_bit_for_bit(self, kind, boundary, x, y):
+        ch = ChannelPair(x, y)
+        pts = region_boundary_samples(kind, ch, 201)
+        got = [p.r1.hex() for p in pts]
+        want = [max(boundary(p.r2, ch), 0.0).hex() for p in pts]
+        assert got == want
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
