@@ -7,9 +7,10 @@ many workers execute the blocks.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +80,23 @@ def _n_workers(mc: McConfig) -> int:
     return workers
 
 
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """Kept for the process, so each worker keeps its malloc arena: a pool
+    per call made a new ~7 MB arena whenever its threads started before the
+    last call's had exited, and the resident set grew at random."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def _run_blocks(fn, mc: McConfig) -> list:
     """Run fn(block_index, count) over all blocks; results in block order."""
     blocks = _blocks(mc.trials)
     workers = _n_workers(mc)
     if workers == 1 or len(blocks) == 1:
         return [fn(b, c) for b, c in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, b, c) for b, c in blocks]
-        return [f.result() for f in futures]
+    futures = [_pool(workers).submit(fn, b, c) for b, c in blocks]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def estimate_event_probs(cfg: PairingConfig, a2: float, b2: float,

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -62,6 +63,25 @@ class TestEventEstimates:
                                  McConfig(trials=trials, seed=7, shards=8))
         assert a.as_tuple() == b.as_tuple()
         assert a.stderr == b.stderr
+
+    def test_later_calls_reuse_the_worker_threads(self, monkeypatch):
+        # a thread started per call would take a malloc arena that the last
+        # call's exiting threads may not have freed yet; kept workers cannot
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return sample_pairs(*args)
+
+        monkeypatch.setattr(montecarlo, "sample_pairs", recording)
+        mc = McConfig(trials=6 * BLOCK_SIZE, seed=7, shards=2)
+        estimate_event_probs(CFG, A2, 0.5, mc)
+        first = set(threads)
+        threads.clear()
+        estimate_event_probs(CFG, A2, 0.5, mc)
+        assert threading.main_thread() not in first
+        assert 1 <= len(first) <= 2
+        assert set(threads) <= first
 
     def test_single_trial_matches_direct_draw(self):
         est = estimate_event_probs(CFG, A2, 0.5, McConfig(trials=1, seed=3))
