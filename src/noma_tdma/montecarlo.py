@@ -24,6 +24,12 @@ from .regions import noma_rates, tdma_rates
 #: trials per logical RNG block (independent of the shard/worker count)
 BLOCK_SIZE = 1 << 16
 
+#: elements per classify/rate pass over a block.  A pass's float64
+#: temporaries are then 64 KiB, in cache and below glibc's default 128 KiB
+#: mmap threshold, so a fresh process takes them from the heap: at 1 << 14
+#: a fresh 2,097,152-trial events solve took ~30k minor faults, not ~450
+CHUNK = 1 << 13
+
 #: environment variable capping the number of worker threads
 WORKERS_ENV = "NOMA_TDMA_MAX_WORKERS"
 
@@ -88,28 +94,52 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers)
 
 
-def _run_blocks(fn, mc: McConfig) -> list:
-    """Run fn(block_index, count) over all blocks; results in block order."""
+def _chunks(count: int):
+    """Slices of at most CHUNK elements covering range(count)."""
+    return (slice(i, i + CHUNK) for i in range(0, count, CHUNK))
+
+
+def _run_blocks(fn, mc: McConfig, rows: int) -> list:
+    """Run fn(block_index, count, buf) over all blocks; results in block order.
+
+    Lane i of min(workers, blocks) runs blocks i, i + lanes, ... and hands
+    each the same (rows, block width) float64 buffer, allocated once per
+    lane: a fresh ~0.5 MB temporary per block is returned to the OS when
+    freed, and every block then page-faults it back in.
+    """
     blocks = _blocks(mc.trials)
     workers = _n_workers(mc)
-    if workers == 1 or len(blocks) == 1:
-        return [fn(b, c) for b, c in blocks]
-    futures = [_pool(workers).submit(fn, b, c) for b, c in blocks]
+    lanes = min(workers, len(blocks))
+
+    def lane(i: int) -> list:
+        buf = np.empty((rows, blocks[0][1]))
+        return [fn(b, c, buf) for b, c in blocks[i::lanes]]
+
+    if lanes == 1:
+        return lane(0)
+    futures = [_pool(workers).submit(lane, i) for i in range(lanes)]
     wait(futures)
-    return [f.result() for f in futures]
+    out = [None] * len(blocks)
+    for i, f in enumerate(futures):
+        out[i::lanes] = f.result()
+    return out
 
 
 def estimate_event_probs(cfg: PairingConfig, a2: float, b2: float,
                          mc: McConfig) -> EventProbabilities:
     """Empirical event frequencies over mc.trials sampled channel pairs."""
 
-    def run(block: int, count: int) -> np.ndarray:
-        x, y = sample_pairs(cfg, _block_rng(mc.seed, block), count)
-        labels = classify_many(x, y, a2, b2)
-        return np.bincount(labels, minlength=5)[1:]
+    def run(block: int, count: int, buf: np.ndarray) -> np.ndarray:
+        x, y = sample_pairs(cfg, _block_rng(mc.seed, block), count, buf)
+        counts = np.zeros(5, dtype=np.int64)
+        for s in _chunks(count):
+            counts += np.bincount(classify_many(x[s], y[s], a2, b2),
+                                  minlength=5)
+        return counts[1:]
 
     counts = np.zeros(4, dtype=np.int64)
-    for c in _run_blocks(run, mc):
+    # rows x, y and the sampler's scratch
+    for c in _run_blocks(run, mc, 3):
         counts += c
     N = mc.trials
     p = counts / N
@@ -135,18 +165,21 @@ def estimate_average_rates(cfg: PairingConfig, a2: float, b2: float,
                            mc: McConfig) -> AverageRates:
     """Per-user NOMA and TDMA rates averaged over the fading distribution."""
 
-    def run(block: int, count: int) -> np.ndarray:
-        x, y = sample_pairs(cfg, _block_rng(mc.seed, block), count)
-        r1n, r2n = noma_rates(x, y, a2)
-        r1t, r2t = tdma_rates(x, y, b2)
-        rates = np.stack([r1n, r2n, r1t, r2t])
+    def run(block: int, count: int, buf: np.ndarray) -> np.ndarray:
+        x, y = sample_pairs(cfg, _block_rng(mc.seed, block), count, buf[:3])
+        # the sampler's scratch row is free again: it becomes r1_noma
+        rates = buf[2:, :count]
+        for s in _chunks(count):
+            rates[0, s], rates[1, s] = noma_rates(x[s], y[s], a2)
+            rates[2, s], rates[3, s] = tdma_rates(x[s], y[s], b2)
         sums = rates.sum(axis=1)
         # squares about the block mean: E[r^2] - E[r]^2 cancels when the
         # rates barely vary (at high SNR r1_noma is nearly log2(1/a2))
         rates -= (sums / count)[:, None]
         return np.stack([sums, np.square(rates, out=rates).sum(axis=1)])
 
-    partials = _run_blocks(run, mc)
+    # rows x, y and the four rates
+    partials = _run_blocks(run, mc, 6)
     sums = np.zeros(4)
     for part in partials:  # ordered fold keeps the result scheduler-independent
         sums += part[0]

@@ -82,16 +82,20 @@ def marginal_cdf_n(t, cfg: PairingConfig):
 
 
 #: spacing runs at least this long are drawn as a gamma ratio, shorter ones
-#: as a sum of exponentials.  Per 65,536 draws on a 2-core x86-64 VM (numpy
-#: 2.4, Philox), a sum of k exponentials takes ~0.95*k ms and the ratio of
-#: two gammas ~6.1 ms (~4.3 ms when the denominator shape is 1), so the two
-#: cost about the same at k = 6.
+#: as a sum of exponentials.  Per 65,536 draws into reused rows on a 2-core
+#: x86-64 KVM guest (numpy 2.4.6, Philox; median of 60 interleaved rounds),
+#: a sum of k exponentials takes ~0.82*k ms and the ratio of two gammas
+#: ~5.3 ms (~3.6 ms when the denominator shape is 1), so the two cost about
+#: the same at k = 6.  The value fixes which draws a block makes, so it is
+#: part of `montecarlo.RNG_SCHEME`.
 GAMMA_RUN = 6
 
 
 def _log_beta_draw(rng: np.random.Generator, shape: tuple[int, int],
-                   size: int, rho: float) -> np.ndarray:
-    """`size` draws of -rho*log(B) for B ~ Beta(a, b) = `shape`.
+                   rho: float, out: np.ndarray,
+                   scratch: np.ndarray) -> None:
+    """Fill `out` with draws of -rho*log(B) for B ~ Beta(a, b) = `shape`;
+    `scratch`, of the same size, is overwritten.
 
     This is the sum of b consecutive Renyi spacings, exponentials with means
     rho/(a+b-1), ..., rho/a.  A run of b >= GAMMA_RUN spacings is drawn as
@@ -99,16 +103,20 @@ def _log_beta_draw(rng: np.random.Generator, shape: tuple[int, int],
     """
     a, b = shape
     if b >= GAMMA_RUN:
-        g_b = rng.standard_gamma(b, size)
-        return rho * np.log1p(g_b / rng.standard_gamma(a, size))
-    out = np.zeros(size)
+        rng.standard_gamma(b, out=out)
+        out /= rng.standard_gamma(a, out=scratch)
+        np.log1p(out, out=out)
+        out *= rho
+        return
+    out.fill(0.0)
     for rate in range(a + b - 1, a - 1, -1):
-        out += rng.standard_exponential(size) * (rho / rate)
-    return out
+        rng.standard_exponential(out=scratch)
+        scratch *= rho / rate
+        out += scratch
 
 
-def sample_pairs(cfg: PairingConfig, rng: np.random.Generator,
-                 size: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_pairs(cfg: PairingConfig, rng: np.random.Generator, size: int,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Draw `size` ordered SNR pairs (x, y); vectorized sampler.
 
     Renyi (1953) representation: the spacings of M i.i.d. exponential(mean
@@ -119,9 +127,21 @@ def sample_pairs(cfg: PairingConfig, rng: np.random.Generator,
     pair costs at most 2*(GAMMA_RUN-1) draws, whatever M and n, and no
     sort.  A row with y <= x can only come from x + (y - x) rounding to x;
     such rows are redrawn.
+
+    `out`, a float64 array of shape (3, >= size), receives x and y in the
+    first `size` entries of its rows 0 and 1 (row 2 is scratch), and x and y
+    are returned as views of it; without it, the rows are allocated.
     """
-    x = _log_beta_draw(rng, cfg.u_shape, size, cfg.rho)
-    y = x + _log_beta_draw(rng, cfg.s_shape, size, cfg.rho)
+    if out is None:
+        out = np.empty((3, size))
+    elif out.dtype != np.float64 or out.ndim != 2 or out.shape[0] != 3 \
+            or out.shape[1] < size:
+        raise ValueError(f"out must be float64 of shape (3, >= {size}), "
+                         f"got {out.dtype} {out.shape}")
+    x, y, scratch = out[:, :size]
+    _log_beta_draw(rng, cfg.u_shape, cfg.rho, x, scratch)
+    _log_beta_draw(rng, cfg.s_shape, cfg.rho, y, scratch)
+    y += x
     bad = np.flatnonzero(y <= x)
     if bad.size:
         x[bad], y[bad] = sample_pairs(cfg, rng, bad.size)

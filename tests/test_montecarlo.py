@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from noma_tdma import (
 from noma_tdma import montecarlo
 from noma_tdma.events import classify_many
 from noma_tdma.montecarlo import BLOCK_SIZE
-from noma_tdma.regions import noma_rates
+from noma_tdma.regions import noma_rates, tdma_rates
 
 RHO25 = 10.0**2.5
 CFG = PairingConfig(10, 2, 7, RHO25)
@@ -106,6 +107,75 @@ class TestEventEstimates:
         for p, s, l in zip(large.as_tuple(), small.stderr, large.stderr):
             if p > 0.01:
                 assert s / l == pytest.approx(3.0, rel=0.2)
+
+
+def _plain_estimates(cfg, a2, b2, trials, seed):
+    """Both estimates from the definition: block b draws its whole block from
+    Philox(seed).jumped(b) and classifies and rates it in one call each."""
+    counts = np.zeros(4, dtype=np.int64)
+    parts = []
+    for block, start in enumerate(range(0, trials, BLOCK_SIZE)):
+        count = min(BLOCK_SIZE, trials - start)
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(block))
+        x, y = sample_pairs(cfg, rng, count)
+        counts += np.bincount(classify_many(x, y, a2, b2), minlength=5)[1:]
+        rates = np.stack([*noma_rates(x, y, a2), *tdma_rates(x, y, b2)])
+        sums = rates.sum(axis=1)
+        rates -= (sums / count)[:, None]
+        parts.append((count, sums, np.square(rates).sum(axis=1)))
+    p = counts / trials
+    events = (*p, *np.sqrt(p * (1.0 - p) / trials))
+    sums = np.zeros(4)
+    for _, block_sums, _ in parts:
+        sums += block_sums
+    means = sums / trials
+    sq = np.zeros(4)
+    for count, block_sums, block_sq in parts:
+        sq += block_sq + count * (block_sums / count - means)**2
+    return events, (*means, *np.sqrt(sq / trials / trials))
+
+
+class TestLanesAndChunks:
+    @pytest.mark.parametrize("shards", [1, 2, 5])
+    @pytest.mark.parametrize("trials", [1000, 3 * BLOCK_SIZE + 1234])
+    @pytest.mark.parametrize("cfg", [CFG, PairingConfig(200, 1, 200, RHO25)],
+                             ids=["sums", "gamma"])
+    def test_bit_identical_to_plain_definition(self, cfg, trials, shards):
+        # 1,000 trials is below CHUNK; with 5 shards there are more lanes
+        # than the 4 blocks
+        mc = McConfig(trials=trials, seed=21, shards=shards)
+        events, rates = _plain_estimates(cfg, A2, 0.5, trials, mc.seed)
+        est = estimate_event_probs(cfg, A2, 0.5, mc)
+        avg = estimate_average_rates(cfg, A2, 0.5, mc)
+        assert [float(v).hex() for v in est.as_tuple() + est.stderr] == \
+            [float(v).hex() for v in events]
+        assert [float(v).hex() for v in (avg.r1_noma, avg.r2_noma,
+                                         avg.r1_tdma, avg.r2_tdma)
+                + avg.stderr] == [float(v).hex() for v in rates]
+
+    @pytest.mark.parametrize("estimate,rows", [
+        (estimate_event_probs, 3),  # x, y and the sampler's scratch
+        (estimate_average_rates, 6),  # x, y and the four rates
+    ])
+    def test_peak_memory_is_the_lane_rows_and_chunk_temporaries(
+            self, estimate, rows):
+        # numpy reports its buffers to tracemalloc, so any full-block
+        # temporary beyond the lane's rows would show here
+        mc = McConfig(trials=8 * BLOCK_SIZE, seed=3, shards=1)
+        estimate(CFG, A2, 0.5, mc)
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            estimate(CFG, A2, 0.5, mc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        # classify_many holds nine CHUNK-sized float64 arrays at its peak
+        assert peak <= (rows * BLOCK_SIZE + 10 * montecarlo.CHUNK) * 8
 
 
 class TestBinomialInterval:

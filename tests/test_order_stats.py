@@ -142,16 +142,16 @@ class TestSampler:
             def __init__(self, zero):
                 self.zero, self.calls = zero, 0
 
-            def _draw(self, size):
+            def _draw(self, out):
                 self.calls += 1
-                return np.zeros(size) if self.calls in self.zero \
-                    else np.ones(size)
+                out[...] = 0.0 if self.calls in self.zero else 1.0
+                return out
 
-            def standard_exponential(self, size):
-                return self._draw(size)
+            def standard_exponential(self, out):
+                return self._draw(out)
 
-            def standard_gamma(self, shape, size):
-                return self._draw(size)
+            def standard_gamma(self, shape, out):
+                return self._draw(out)
 
         for cfg, zero, per_pass in [
             # x then y - x as sums of exponentials: draws 3-7 are y - x
@@ -165,6 +165,24 @@ class TestSampler:
             x, y = sample_pairs(cfg, rng, 5)
             assert np.all(0.0 < x) and np.all(x < y)
             assert rng.calls == 2 * per_pass
+
+    @pytest.mark.parametrize("M,m,n", [(10, 2, 7), (10, 1, 10), (20, 8, 16)])
+    def test_caller_buffer_gives_the_same_pairs(self, M, m, n):
+        cfg = PairingConfig(M, m, n, 100.0)
+        for size in (1000, 700):
+            x, y = sample_pairs(cfg, np.random.default_rng(9), size)
+            buf = np.full((3, 1000), np.nan)
+            bx, by = sample_pairs(cfg, np.random.default_rng(9), size, buf)
+            assert x.tobytes() == bx.tobytes() and y.tobytes() == by.tobytes()
+            assert np.shares_memory(bx, buf[0]) and np.shares_memory(by, buf[1])
+            assert np.isnan(buf[:, size:]).all()
+
+    def test_caller_buffer_must_fit(self):
+        cfg = PairingConfig(10, 2, 7, 100.0)
+        for buf in (np.empty((3, 9)), np.empty((2, 10)), np.empty(30),
+                    np.empty((3, 10), dtype=np.float32)):
+            with pytest.raises(ValueError):
+                sample_pairs(cfg, np.random.default_rng(1), 10, buf)
 
     def test_mean_of_max_of_two(self):
         cfg = PairingConfig(2, 1, 2, 1.0)
