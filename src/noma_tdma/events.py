@@ -8,17 +8,23 @@ four subsegments; the event index says which subsegment T falls on:
   E2: R1N > R1T, R2N > R2T          (NOMA wins both individual rates)
   E3: R1N > R1T, R2N < R2T, sum won (NOMA wins the sum rate only)
   E4: sum lost                      (TDMA wins the sum rate)
+
+Each comparison is one function of one SNR: with the margin
+h(v) = b2*ln(1+v) - ln(1+a2*v) in nats, R1N - R1T = h(x)/ln 2,
+R2N - R2T = -h(y)/ln 2 and (R1N + R2N) - (R1T + R2T) = (h(x) - h(y))/ln 2.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from .regions import noma_rates, tdma_rates
-
 #: comparisons closer than this are ties, broken toward the lower event id
 TIE_TOL = 1e-12
+
+# TIE_TOL in nats, the unit of the margins h
+_TIE_NATS = TIE_TOL * math.log(2.0)
 
 
 class DegenerateSplitError(ValueError):
@@ -55,21 +61,23 @@ _REDUCED_TABLE = _label_table(_REDUCED_CONDITIONS)
 
 
 def e2_threshold(a2: float) -> float:
-    """SNR threshold w2 = (1 - 2*a2) / a2**2 of event E2 at b2 = 1/2."""
+    """SNR threshold w2 = (1 - 2*a2) / a2**2 of event E2 at b2 = 1/2; inf
+    where a2**2 underflows to 0."""
     if not 0.0 < a2 <= 0.5:
         raise DegenerateSplitError(f"need 0 < a2 <= 1/2, got {a2}")
-    return (1.0 - 2.0 * a2) / a2**2
+    square = a2**2
+    return (1.0 - 2.0 * a2) / square if square else math.inf
 
 
 def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:
     """Vectorized classification; returns an int8 array of event ids 1..4.
 
     All four arguments broadcast against each other; scalar arguments give
-    a 0-d array.  Each comparison becomes a sign in {-1, 0, +1} (0 within
-    TIE_TOL), and the sign triple is looked up in a 27-entry table derived
-    from the condition tables.  The reduced table is written independently
-    of the full one, so agreement between the two is a genuine check of the
-    underlying boundary geometry.
+    a 0-d array.  Each comparison, h(x), -h(y) or h(x) - h(y), becomes a
+    sign in {-1, 0, +1} (0 within TIE_TOL BPCU), and the sign triple is
+    looked up in a 27-entry table derived from the condition tables.  The
+    reduced table is written independently of the full one, so agreement
+    between the two is a genuine check of the underlying boundary geometry.
     """
     a2 = np.asarray(a2, dtype=np.float64)
     b2 = np.asarray(b2, dtype=np.float64)
@@ -80,11 +88,9 @@ def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:
         raise DegenerateSplitError("need 0 < b2 < 1 everywhere")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    r1n, r2n = noma_rates(x, y, a2)
-    r1t, r2t = tdma_rates(x, y, b2)
-    deltas = (r1n - r1t, r2n - r2t, (r1n + r2n) - (r1t + r2t))
-    s1, s2, s3 = (np.asarray(d > TIE_TOL, dtype=np.int8)
-                  - np.asarray(d < -TIE_TOL, dtype=np.int8) for d in deltas)
+    hx, hy = (b2 * np.log1p(v) - np.log1p(a2 * v) for v in (x, y))
+    s1, s2, s3 = (np.subtract(d > _TIE_NATS, d < -_TIE_NATS, dtype=np.int8)
+                  for d in (hx, -hy, hx - hy))
     code = 9 * s1 + 3 * s2 + s3 + 13
     table = _REDUCED_TABLE if reduced else _FULL_TABLE
     out = np.asarray(table[code])

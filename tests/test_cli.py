@@ -140,6 +140,21 @@ class TestA2Mode:
         assert "a2 mode must be" in capsys.readouterr().err
 
 
+    def test_split_whose_square_underflows(self, tmp_path):
+        # a2**2 is 0 at a2 = 1e-300, so w2 is inf, and every method puts
+        # all the mass on E4
+        out = tmp_path / "events.csv"
+        rc = main(["events", "--m", "2", "--n", "7", "--a2-mode",
+                   "fixed:1e-300", "--method", "all", "--trials", "10000",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_csv(out)
+        assert [r[2] for r in rows] == ["closed", "quadrature", "mc"]
+        for row in rows:
+            probs = [float(v) for v in row[3:7]]
+            assert probs == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-12)
+
+
 class TestNonFiniteInputs:
     # NaN fails every comparison, so a range check written as "reject if
     # out of range" lets it through; the CLI must still exit 2

@@ -25,8 +25,9 @@ class EventId(Enum):
 
 
 def events_by_definition(x, y, a2, b2):
-    """Event ids from the four definitions, and a mask of the draws that lie
-    at least 1e-9 from every tie."""
+    """Event ids from the four definitions, written with the rates that
+    classify_many does not use, and a mask of the draws that lie at least
+    1e-9 from every tie."""
     r1n, r2n = noma_rates(x, y, a2)
     r1t, r2t = tdma_rates(x, y, b2)
     d1, d2 = r1n - r1t, r2n - r2t
@@ -76,14 +77,17 @@ class TestEquivalence:
         red = classify_many(x, y, a2, b2, reduced=True)
         assert np.array_equal(full, red)
 
-    def test_scalar_vector_consistency(self):
+    @pytest.mark.parametrize("x_max,a2_min", [(30.0, 0.01), (1e8, 1e-4)],
+                             ids=["moderate", "80dB"])
+    def test_scalar_vector_consistency(self, x_max, a2_min):
         # the full and reduced classifiers against the event definitions
-        # written out from the rates
+        # written out from the rates; at x up to 1e8 (the CLI's 80 dB)
+        # b2*ln(1+v) and ln(1+a2*v) are large and nearly cancel
         rng = np.random.default_rng(22)
         N = 20_000
-        x = rng.uniform(0.1, 30.0, N)
+        x = rng.uniform(0.1, x_max, N)
         y = x * (1 + rng.uniform(0.01, 10.0, N))
-        a2 = rng.uniform(0.01, 0.5, N)
+        a2 = rng.uniform(a2_min, 0.5, N)
         b2 = rng.uniform(0.01, 0.99, N)
         expected, clear = events_by_definition(x, y, a2, b2)
         assert clear.mean() > 0.99
@@ -148,6 +152,8 @@ class TestEpsilon2Threshold:
     def test_w2_arithmetic(self):
         # a2 = 1/4 gives w2 = 8
         assert e2_threshold(0.25) == 8.0
+        # a2**2 underflows to 0: no finite x reaches E2
+        assert e2_threshold(1e-300) == math.inf
         for a2 in (0.0, 0.6):
             with pytest.raises(DegenerateSplitError):
                 e2_threshold(a2)

@@ -153,6 +153,26 @@ class TestLanesAndChunks:
                                          avg.r1_tdma, avg.r2_tdma)
                 + avg.stderr] == [float(v).hex() for v in rates]
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_pinned_output(self, shards):
+        # the reference above classifies with the same classify_many, so a
+        # change of label would move both; these exact values would not move
+        mc = McConfig(trials=3 * BLOCK_SIZE + 17, seed=21, shards=shards)
+        est = estimate_event_probs(CFG, A2, 0.5, mc)
+        avg = estimate_average_rates(CFG, A2, 0.5, mc)
+        assert [float(v).hex() for v in est.as_tuple() + est.stderr] == [
+            "0x1.fd4a0f5c539f8p-10", "0x1.48b80e97ad4f3p-1",
+            "0x1.6c5544c77a405p-2", "0x1.ea9fce766e0b9p-13",
+            "0x1.a083d23b254e8p-14", "0x1.1b6a0e7a85f89p-10",
+            "0x1.1b07a4c5da1f3p-10", "0x1.21520f3041a13p-15"]
+        assert [float(v).hex() for v in (avg.r1_noma, avg.r2_noma,
+                                         avg.r1_tdma, avg.r2_tdma)
+                + avg.stderr] == [
+            "0x1.d579b5901d312p+1", "0x1.102ad2e754b55p+2",
+            "0x1.6d3c03cd897a2p+1", "0x1.0a69d8339ae15p+2",
+            "0x1.b773c240a998ap-11", "0x1.4698ecf642a9ep-10",
+            "0x1.4a8064e2a9c8ap-10", "0x1.5a4ebcf12c912p-11"]
+
     @pytest.mark.parametrize("estimate,rows", [
         (estimate_event_probs, 3),  # x, y and the sampler's scratch
         (estimate_average_rates, 6),  # x, y and the four rates
@@ -174,8 +194,9 @@ class TestLanesAndChunks:
         finally:
             if not outer:
                 tracemalloc.stop()
-        # classify_many holds nine CHUNK-sized float64 arrays at its peak
-        assert peak <= (rows * BLOCK_SIZE + 10 * montecarlo.CHUNK) * 8
+        # classify_many and the rate functions each hold under five
+        # CHUNK-sized float64 arrays at their peak
+        assert peak <= (rows * BLOCK_SIZE + 6 * montecarlo.CHUNK) * 8
 
 
 class TestBinomialInterval:
