@@ -5,14 +5,7 @@ from .regions import (
     ChannelPair,
     PowerSplit,
     TimeSplit,
-    RatePair,
     InfeasibleSplitError,
-    single_user_rates,
-    noma_rate_pair,
-    tdma_rate_pair,
-    noma_boundary,
-    tdma_boundary,
-    noma_arc_z_max,
     region_boundary_samples,
 )
 from .events import (

@@ -3,9 +3,9 @@
 At b2 = 1/2 the E2 event is the threshold event x < w2 < y.  With
 K ~ Binomial(M, F(w2)) the number of the M gains below w2, x < w2 iff
 K >= m and y > w2 iff K <= n-1, so P(y > w2) and P(E2) are binomial CDFs.
-P(E4) is P(y < sqrt(1+w2) - 1) plus a 1-D integral over y whose
-conditional inner probability is a regularized incomplete beta
-(David & Nagaraja, *Order Statistics*, section 2).
+P(E4) is a 1-D integral over x of the m-th order-statistic density times
+the binomial tail of the gap y - x (David & Nagaraja, *Order Statistics*,
+section 2).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
-from scipy.special import bdtr, bdtrc, betainc, betaln
+from scipy.special import bdtr, bdtrc, betaln
 
 from .events import e2_threshold
 from .order_stats import PairingConfig
@@ -125,37 +125,36 @@ def strong_user_tail(cfg: PairingConfig, a2: float) -> float:
 def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     """P(E4) = P(sum_N < sum_T): TDMA beats NOMA on the sum rate.
 
-    E4 holds whenever y < lo = sqrt(1+w2) - 1, and for y in [lo, w2] when
-    x < g(y) = (w2 - y)/(1 + y).  Given y, the other n-1 gains below y are
-    i.i.d. with CDF F/F(y), so P(x < g | y) = I_{F(g)/F(y)}(m, n-m).
+    E4 holds iff (1+x)(1+y) < 1+w2, i.e. x < lo = sqrt(1+w2) - 1 and
+    y < g(x) = (w2 - x)/(1 + x).  Given x, y - x is the (n-m)-th smallest of
+    M-m i.i.d. gains (memoryless), so P(E4 | x) = P(K' >= n-m) for
+    K' ~ Binomial(M-m, F(g(x) - x)), and P(E4) = int_0^lo f_m(x) P(E4 | x) dx.
+    The integral runs over q = F(x), where f_m is the Beta(m, M-m+1)
+    density, so its nodes see the mass of x however far lo lies beyond it.
     """
     M, m, n, rho = cfg.M, cfg.m, cfg.n, cfg.rho
     w2 = e2_threshold(a2)
-    lo = math.sqrt(w2 + 1.0) - 1.0
-    below_lo = float(bdtrc(n - 1, M, -math.expm1(-lo / rho)))
-    if w2 <= lo:
-        return _clamp_probability(below_lo, "P(E4)")
+    lo = math.expm1(0.5 * math.log1p(w2))
+    # log of the Beta normaliser, which overflows a float from M ~ 1,000 on
+    log_norm = -betaln(m, M - m + 1)
 
-    # log of the f_n normaliser 1/(rho B(n, M-n+1)), which overflows a
-    # float from M ~ 1,000 on
-    log_norm = -betaln(n, M - n + 1) - math.log(rho)
-
-    def integrand(yv: float) -> float:
-        Fy = -math.expm1(-yv / rho)
-        Fg = -math.expm1(-(w2 - yv) / (1.0 + yv) / rho)
-        density = math.exp(log_norm + (n - 1) * math.log(Fy)
-                           - (M - n + 1) * yv / rho)
-        return density * betainc(m, n - m, Fg / Fy)
+    def integrand(q: float) -> float:
+        xv = -rho * math.log1p(-q)
+        density = math.exp(log_norm + (m - 1) * math.log(q)
+                           + (M - m) * math.log1p(-q))
+        gap = (w2 - xv) / (1.0 + xv) - xv
+        return density * bdtrc(n - m - 1, M - m, -math.expm1(-gap / rho))
 
     # full_output keeps scipy from warning on its own heuristics (e.g.
     # "probably divergent"); the error estimate is judged below instead
-    val, err, *_ = quad(integrand, lo, w2, epsabs=QUAD_TOL, epsrel=QUAD_TOL,
-                        limit=500, full_output=1)
+    val, err, *_ = quad(integrand, 0.0, -math.expm1(-lo / rho),
+                        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
+                        full_output=1)
     if err > max(10.0 * QUAD_TOL, 10.0 * QUAD_TOL * abs(val)):
         raise ConvergenceError(
             f"1-D quadrature error estimate {err} above tolerance {QUAD_TOL}")
-    # the integral's own error can carry the sum a hair past 1
-    return _clamp_probability(below_lo + val, "P(E4)")
+    # the integral's own error can carry it a hair past 1
+    return _clamp_probability(val, "P(E4)")
 
 
 def event_probabilities_closed(cfg: PairingConfig, a2: float) -> EventProbabilities:

@@ -23,11 +23,11 @@ from .regions import (
     ChannelPair,
     PowerSplit,
     TimeSplit,
-    noma_rate_pair,
+    f_tdma,
+    log2_1p,
+    noma_rates,
     region_boundary_samples,
-    single_user_rates,
-    tdma_boundary,
-    tdma_rate_pair,
+    tdma_rates,
 )
 
 EXIT_OK = 0
@@ -36,18 +36,12 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _fmt(v) -> str:
-    """Shortest round-trip decimal representation."""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _rows_to_csv(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        # str of a float is its shortest round-trip decimal
+        buf.write(",".join(map(str, row)) + "\n")
     return buf.getvalue()
 
 
@@ -110,22 +104,26 @@ def cmd_regions(args: argparse.Namespace) -> int:
     ch = ChannelPair(args.x, args.y)
     rows = []
     for kind in ("capacity", "noma", "tdma"):
-        for pt in region_boundary_samples(kind, ch, args.points):
-            rows.append([kind, pt.r2, pt.r1])
+        r1, r2 = region_boundary_samples(kind, ch, args.points)
+        rows += [[kind, b, a] for a, b in zip(r1.tolist(), r2.tolist())]
     if args.mark_a2 is not None:
-        p = PowerSplit(args.mark_a2)
-        t = TimeSplit(args.mark_b2)
-        n_pt = noma_rate_pair(ch, p)
-        t_pt = tdma_rate_pair(ch, t)
-        rows.append(["point_N", n_pt.r2, n_pt.r1])
-        rows.append(["point_T", t_pt.r2, t_pt.r1])
-        r1s, r2s = single_user_rates(ch)
-        # intersections of the three comparison lines with the TDMA segment
-        rows.append(["point_B", (1.0 - n_pt.r1 / r1s) * r2s, n_pt.r1])
-        rows.append(["point_C", n_pt.r2, tdma_boundary(n_pt.r2, ch)])
-        s = n_pt.r1 + n_pt.r2
-        z_d = (s - r1s) / (1.0 - r1s / r2s)
-        rows.append(["point_D", z_d, tdma_boundary(z_d, ch)])
+        p, t = PowerSplit(args.mark_a2), TimeSplit(args.mark_b2)
+        p.require_noma()
+        x, y, a2 = ch.x, ch.y, p.a2
+        r1n, r2n = (float(r) for r in noma_rates(x, y, a2))
+        r1t, r2t = (float(r) for r in tdma_rates(x, y, t.b2))
+        # where the comparison lines through N meet the TDMA segment: B on
+        # r1 = R1N, C on r2 = R2N, D on the sum rate.  z_B and z_D are R2*
+        # times a ratio of logs in [0, 1], so nothing cancels as y -> x or
+        # a2 -> 0 and both stay inside the segment.
+        r2s = float(log2_1p(y))
+        z_b = r2s * (math.log1p(a2 * x) / math.log1p(x))
+        z_d = r2s * (math.log1p(a2 * (y - x) / (1.0 + a2 * x))
+                     / math.log1p((y - x) / (1.0 + x)))
+        rows += [["point_N", r2n, r1n], ["point_T", r2t, r1t],
+                 ["point_B", z_b, r1n],
+                 ["point_C", r2n, float(f_tdma(r2n, x, y))],
+                 ["point_D", z_d, float(f_tdma(z_d, x, y))]]
     _emit(args, ["region", "r2", "r1"], rows)
     return EXIT_OK
 

@@ -13,9 +13,6 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-#: absolute slack accepted outside a boundary's z-domain before erroring
-DOMAIN_SLACK = 1e-12
-
 
 class InfeasibleSplitError(ValueError):
     """The strong user was given more than half the power (a2 > 1/2)."""
@@ -50,10 +47,6 @@ class PowerSplit:
         if not (np.isfinite(self.a2) and 0.0 <= self.a2 <= 1.0):
             raise ValueError(f"a2 must lie in [0, 1], got {self.a2}")
 
-    @property
-    def a1(self) -> float:
-        return 1.0 - self.a2
-
     def require_noma(self) -> None:
         """NOMA gives the weaker user at least half the power."""
         if self.a2 > 0.5:
@@ -71,22 +64,6 @@ class TimeSplit:
     def __post_init__(self):
         if not (np.isfinite(self.b2) and 0.0 <= self.b2 <= 1.0):
             raise ValueError(f"b2 must lie in [0, 1], got {self.b2}")
-
-    @property
-    def b1(self) -> float:
-        return 1.0 - self.b2
-
-
-@dataclass(frozen=True)
-class RatePair:
-    """An achievable rate point (r1 weak user, r2 strong user), in BPCU."""
-
-    r1: float
-    r2: float
-
-    def __post_init__(self):
-        if self.r1 < 0.0 or self.r2 < 0.0:
-            raise ValueError(f"rates must be nonnegative, got ({self.r1}, {self.r2})")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +89,13 @@ def tdma_rates(x, y, b2):
 def f_noma(z, x, y):
     """Weak-user rate f^N(z) = log2((1+x)y / (y + (2^z - 1)x)) on the
     NOMA/capacity boundary at strong-user rate z."""
-    return log2_1p(x) - log2_1p(np.expm1(z * LN2) * x / y)
+    grown = np.expm1(z * LN2)
+    with np.errstate(over="ignore"):
+        t = grown * x / y
+    # (2^z - 1) x leaves the normal floats once x y passes ~1.8e308 or falls
+    # below ~2.2e-308; 2^z - 1 <= y times x/y < 1 does not
+    redo = np.isinf(t) | (t < np.finfo(np.float64).tiny)
+    return log2_1p(x) - log2_1p(np.where(redo, grown * (x / y), t))
 
 
 def f_noma_slope(z, x, y):
@@ -130,48 +113,6 @@ def f_tdma(z, x, y):
 # operations
 # ---------------------------------------------------------------------------
 
-def single_user_rates(ch: ChannelPair) -> tuple[float, float]:
-    """Single-user capacities (R1*, R2*) = (log2(1+x), log2(1+y))."""
-    return float(log2_1p(ch.x)), float(log2_1p(ch.y))
-
-
-def noma_rate_pair(ch: ChannelPair, p: PowerSplit) -> RatePair:
-    """Operating point N on the NOMA boundary for power split p."""
-    p.require_noma()
-    r1, r2 = noma_rates(ch.x, ch.y, p.a2)
-    return RatePair(float(r1), float(r2))
-
-
-def tdma_rate_pair(ch: ChannelPair, t: TimeSplit) -> RatePair:
-    """Operating point T on the TDMA segment for time split t."""
-    r1, r2 = tdma_rates(ch.x, ch.y, t.b2)
-    return RatePair(float(r1), float(r2))
-
-
-def _check_z(z: float, zmax: float) -> float:
-    """Clamp z into [0, zmax] within DOMAIN_SLACK; hard error beyond that."""
-    if not np.isfinite(z):
-        raise ValueError("z must be finite")
-    if z < -DOMAIN_SLACK or z > zmax + DOMAIN_SLACK:
-        raise ValueError(f"z={z} outside boundary domain [0, {zmax}]")
-    return min(max(z, 0.0), zmax)
-
-
-def noma_boundary(z: float, ch: ChannelPair) -> float:
-    """Weak-user rate on the NOMA/capacity boundary at strong-user rate z.
-
-    Evaluates f_noma for z in [0, R2*].
-    """
-    _, r2_star = single_user_rates(ch)
-    return float(f_noma(_check_z(z, r2_star), ch.x, ch.y))
-
-
-def tdma_boundary(z: float, ch: ChannelPair) -> float:
-    """Weak-user rate on the TDMA segment at strong-user rate z."""
-    _, r2_star = single_user_rates(ch)
-    return float(f_tdma(_check_z(z, r2_star), ch.x, ch.y))
-
-
 #: the capacity boundary is the NOMA curve, swept over all of a2 in [0, 1]
 _BOUNDARIES = {
     "capacity": f_noma,
@@ -180,13 +121,10 @@ _BOUNDARIES = {
 }
 
 
-def noma_arc_z_max(ch: ChannelPair) -> float:
-    """Strong-user rate at point F, the a2 = 1/2 end of the NOMA arc."""
-    return float(log2_1p(ch.y / 2.0))
-
-
-def region_boundary_samples(kind: str, ch: ChannelPair, count: int) -> list[RatePair]:
-    """Sample `count` points on the selected boundary, uniform in r2.
+def region_boundary_samples(kind: str, ch: ChannelPair,
+                            count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (r1, r2) of `count` points on the selected boundary, uniform
+    in r2.
 
     For 'capacity' and 'tdma' the sweep covers [0, R2*]; for 'noma' it stops
     at point F (a2 = 1/2).  The first point is always (R1*, 0).
@@ -195,8 +133,7 @@ def region_boundary_samples(kind: str, ch: ChannelPair, count: int) -> list[Rate
         raise ValueError(f"unknown region kind {kind!r}")
     if count < 2:
         raise ValueError("count must be at least 2")
-    _, r2_star = single_user_rates(ch)
-    z_max = noma_arc_z_max(ch) if kind == "noma" else r2_star
+    # the NOMA arc ends at point F, r2 = log2(1 + y/2)
+    z_max = log2_1p(ch.y / 2.0 if kind == "noma" else ch.y)
     z_grid = np.linspace(0.0, z_max, count)
-    r1 = np.maximum(_BOUNDARIES[kind](z_grid, ch.x, ch.y), 0.0)
-    return [RatePair(a, b) for a, b in zip(r1.tolist(), z_grid.tolist())]
+    return np.maximum(_BOUNDARIES[kind](z_grid, ch.x, ch.y), 0.0), z_grid

@@ -147,6 +147,13 @@ class TestEps4Closed:
             oracle = event_probabilities_quadrature(cfg, a2, tol=1e-6).p4
             assert p_eps4_closed(cfg, a2) == pytest.approx(oracle, abs=1e-3)
 
+    @pytest.mark.parametrize("a2", [1e-20, 1e-100])
+    def test_tiny_split_is_all_e4(self, a2):
+        # E4 needs x < lo = sqrt(1 + w2) - 1, here 1e20 or 1e100, while x is
+        # of order rho: the integral must still see all of x's mass
+        cfg = PairingConfig(10, 2, 7, RHO25)
+        assert p_eps4_closed(cfg, a2) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestEps3AndDistribution:
     def test_complement(self):
@@ -166,10 +173,10 @@ class TestEps3AndDistribution:
     @pytest.mark.parametrize("cfg, a2, expect", [
         (PairingConfig(10, 2, 7, RHO25), 1.0 / math.sqrt(RHO25),
          ("0x1.183088fb15a00p-9", "0x1.49efe6120978ep-1",
-          "0x1.69b6797d9bd16p-2", "0x1.caca62d88cdb8p-13")),
+          "0x1.69b6797d9bd16p-2", "0x1.caca62d88cdb9p-13")),
         (PairingConfig(20, 5, 6, 100.0), 0.1,
          ("0x1.8980d241dac14p-10", "0x1.3c1e8d9e2a664p-8",
-          "0x1.f9c23da8b438cp-1", "0x1.806269774289cp-8")),
+          "0x1.f9c23da8b438cp-1", "0x1.80626977428a2p-8")),
     ], ids=["M10_m2_n7_25dB", "M20_m5_n6_20dB"])
     def test_pinned_output(self, cfg, a2, expect):
         # exact values, within 2.3e-16 of 40-digit mpmath: any change to the

@@ -2,8 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from noma_tdma import single_user_rates, ChannelPair
 from noma_tdma.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -34,7 +34,7 @@ class TestRegions:
         assert set(by_region) == {"capacity", "noma", "tdma"}
 
         # capacity and tdma boundaries end at the strong user's full rate
-        r1s, r2s = single_user_rates(ChannelPair(1.0, 3.0))
+        r1s, r2s = 1.0, 2.0  # log2(1 + x), log2(1 + y)
         assert by_region["capacity"][-1] == pytest.approx((r2s, 0.0), abs=1e-12)
         # noma arc stops at the a2 = 1/2 point F
         assert by_region["noma"][-1][0] == pytest.approx(math.log2(2.5),
@@ -53,6 +53,71 @@ class TestRegions:
 
     def test_invalid_channel_is_usage_error(self):
         assert main(["regions", "--x", "3", "--y", "1"]) == EXIT_USAGE
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_exit_code_is_0_or_2(self, data):
+        # valid input exits 0; anything else, argparse's own errors
+        # included, exits 2; nothing raises
+        x = data.draw(st.one_of(st.floats(5e-324, 1e300), st.floats()))
+        y = data.draw(st.one_of(
+            st.floats(0.0, 1e9).map(lambda d: x * (1.0 + d)),
+            st.floats(5e-324, 1e300), st.floats()))
+        a2 = data.draw(st.one_of(st.none(), st.floats(0.0, 0.5), st.floats()))
+        b2 = data.draw(st.one_of(st.floats(0.0, 1.0), st.floats()))
+        points = data.draw(st.integers(-2, 1000))
+        argv = ["regions", f"--x={x!r}", f"--y={y!r}", f"--points={points}",
+                f"--mark-b2={b2!r}"]
+        if a2 is not None:
+            argv.append(f"--mark-a2={a2!r}")
+        valid = (math.isfinite(x) and math.isfinite(y) and 0.0 < x < y
+                 and points >= 2 and (a2 is None or (0.0 <= a2 <= 0.5
+                                                     and 0.0 <= b2 <= 1.0)))
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == (EXIT_OK if valid else EXIT_USAGE)
+
+    @pytest.mark.parametrize("x, y, a2, b2", [
+        (1.0, 3.0, 0.25, 0.5),
+        (1.0, 3.0, 0.0, 0.3),
+        (1.0, 3.0, 0.5, 1.0),
+        # y - x = 4.2e-5 and a2 = 1e-12: z_D = 1.9e-11, which a form that
+        # subtracts the single-user rates put at -1.3e-10 (exit 2)
+        pytest.param(5.625576150119101, 5.625618591374388,
+                     1.040696441692828e-12, 0.5, id="near_equal_tiny_split"),
+        (5.0, 5.0001, 1e-9, 0.0),
+        (0.01, 1e6, 0.1, 0.5),
+        (1e-9, 2e-9, 0.5, 0.5),
+        (100.0, 3000.0, 1e-6, 0.7),
+        (3e7, 3.0000001e7, 0.4, 0.5),
+        (1e12, 5e12, 0.49, 0.5),
+    ])
+    def test_marked_points_match_mpmath(self, x, y, a2, b2, capsys):
+        # B, C and D are where the lines r1 = R1N, r2 = R2N and
+        # r1 + r2 = R1N + R2N meet the TDMA segment r1/R1* + r2/R2* = 1,
+        # here solved at 50 digits from the rate definitions
+        mp = pytest.importorskip("mpmath")
+        rc = main(["regions", "--x", repr(x), "--y", repr(y),
+                   "--mark-a2", repr(a2), "--mark-b2", repr(b2)])
+        assert rc == EXIT_OK
+        got = {r[0]: (float(r[1]), float(r[2])) for r in
+               (line.split(",") for line in
+                capsys.readouterr().out.splitlines()[1:])}
+        with mp.workdps(50):
+            x, y, a2 = mp.mpf(x), mp.mpf(y), mp.mpf(a2)
+            r1s, r2s = mp.log1p(x) / mp.ln2, mp.log1p(y) / mp.ln2
+            r1n = mp.log((1 + x) / (1 + a2 * x)) / mp.ln2
+            r2n = mp.log1p(a2 * y) / mp.ln2
+            z_d = r2s * (r1n + r2n - r1s) / (r2s - r1s)
+            want = {"point_B": (r2s * (1 - r1n / r1s), r1n),
+                    "point_C": (r2n, r1s * (1 - r2n / r2s)),
+                    "point_D": (z_d, r1n + r2n - z_d)}
+            for name, point in want.items():
+                for g, w in zip(got[name], point):
+                    assert abs(g - w) <= 1e-15 * r2s, name
 
 
 class TestEvents:

@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from noma_tdma import (
-    ChannelPair,
     DegenerateSplitError,
     classify_many,
     e2_threshold,
-    single_user_rates,
 )
-from noma_tdma.regions import noma_rates, tdma_rates
+from noma_tdma.regions import f_noma, f_tdma, log2_1p, noma_rates, tdma_rates
 
 
 class EventId(Enum):
@@ -203,15 +201,13 @@ class TestGeometry:
 
     def test_propositions_direct(self):
         rng = np.random.default_rng(26)
-        for _ in range(5000):
-            x = float(rng.uniform(0.05, 40.0))
-            ch = ChannelPair(x, x * (1 + float(rng.uniform(0.01, 20.0))))
-            r2s = single_user_rates(ch)[1]
-            za, zb = np.sort(rng.uniform(0.0, r2s, 2))
-            if za == zb:
-                continue
-            from noma_tdma import noma_boundary, tdma_boundary
-            # z > z0: f^N(z) + z > f^T(z0) + z0
-            assert noma_boundary(zb, ch) + zb > tdma_boundary(za, ch) + za
-            # z < z0: f^N(z) > f^T(z0)
-            assert noma_boundary(za, ch) > tdma_boundary(zb, ch)
+        x = rng.uniform(0.05, 40.0, 5000)
+        y = x * (1 + rng.uniform(0.01, 20.0, 5000))
+        za, zb = np.sort(rng.uniform(0.0, log2_1p(y)[:, None], (5000, 2)),
+                         axis=1).T
+        keep = za < zb
+        x, y, za, zb = x[keep], y[keep], za[keep], zb[keep]
+        # z > z0: f^N(z) + z > f^T(z0) + z0
+        assert np.all(f_noma(zb, x, y) + zb > f_tdma(za, x, y) + za)
+        # z < z0: f^N(z) > f^T(z0)
+        assert np.all(f_noma(za, x, y) > f_tdma(zb, x, y))

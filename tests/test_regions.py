@@ -7,20 +7,26 @@ from noma_tdma import (
     ChannelPair,
     InfeasibleSplitError,
     PowerSplit,
-    RatePair,
     TimeSplit,
-    noma_arc_z_max,
-    noma_boundary,
-    noma_rate_pair,
     region_boundary_samples,
-    single_user_rates,
-    tdma_boundary,
-    tdma_rate_pair,
 )
-from noma_tdma.regions import f_noma_slope
+from noma_tdma.regions import (
+    f_noma,
+    f_noma_slope,
+    f_tdma,
+    log2_1p,
+    noma_rates,
+    tdma_rates,
+)
 
 
 CH13 = ChannelPair(1.0, 3.0)
+
+
+def _channels(rng, size):
+    """Random channel pairs x < y as arrays."""
+    x = rng.uniform(0.05, 40.0, size)
+    return x, x * (1 + rng.uniform(0.01, 20.0, size))
 
 
 class TestDomainTypes:
@@ -35,8 +41,12 @@ class TestDomainTypes:
             ChannelPair(1.0, math.inf)
 
     def test_power_split_sums_exactly(self):
-        p = PowerSplit(0.3)
-        assert p.a1 + p.a2 == 1.0
+        # the weak user gets the rest of the power, a1 = 1 - a2: its rate is
+        # log2(1 + a1 x / (1 + a2 x))
+        x, y, a2 = 1.0, 3.0, 0.3
+        r1, _ = noma_rates(x, y, a2)
+        assert r1 == pytest.approx(
+            math.log2(1 + (1 - a2) * x / (1 + a2 * x)), abs=1e-15)
         with pytest.raises(ValueError):
             PowerSplit(1.2)
         with pytest.raises(ValueError):
@@ -48,53 +58,55 @@ class TestDomainTypes:
             PowerSplit(0.6).require_noma()
 
     def test_time_split(self):
-        t = TimeSplit(0.25)
-        assert t.b1 == 0.75
+        # the weak user keeps the rest of the time, b1 = 1 - b2
+        assert tdma_rates(1.0, 3.0, 0.25) == (0.75, 0.5)
         with pytest.raises(ValueError):
             TimeSplit(1.5)
 
     def test_rate_pair_nonnegative(self):
-        with pytest.raises(ValueError):
-            RatePair(-0.1, 0.5)
+        rng = np.random.default_rng(2)
+        x, y = _channels(rng, 10_000)
+        for r in (*noma_rates(x, y, rng.uniform(0.0, 0.5, x.size)),
+                  *tdma_rates(x, y, rng.uniform(0.0, 1.0, x.size))):
+            assert np.all(r >= 0.0)
 
 
 class TestSingleUserRates:
     def test_basic(self):
-        assert single_user_rates(CH13) == (1.0, 2.0)
-        assert single_user_rates(ChannelPair(3.0, 15.0)) == (2.0, 4.0)
+        assert log2_1p(np.array([1.0, 3.0, 15.0])).tolist() == [1.0, 2.0, 4.0]
+        # the TDMA end points A and E are the single-user rates
+        assert tdma_rates(1.0, 3.0, 0.0) == (1.0, 0.0)
+        assert tdma_rates(1.0, 3.0, 1.0) == (0.0, 2.0)
 
     def test_zero_snr_limit(self):
-        r1, r2 = single_user_rates(ChannelPair(1e-12, 3.0))
-        assert 0.0 < r1 < 2e-12
-        assert r2 == 2.0
+        assert 0.0 < log2_1p(1e-12) < 2e-12
 
 
 class TestNomaRatePair:
     def test_quarter_split(self):
-        pt = noma_rate_pair(CH13, PowerSplit(0.25))
-        assert pt.r1 == pytest.approx(math.log2(1.6), abs=1e-12)  # 0.67807
-        assert pt.r2 == pytest.approx(math.log2(1.75), abs=1e-12)  # 0.80735
+        r1, r2 = noma_rates(1.0, 3.0, 0.25)
+        assert r1 == pytest.approx(math.log2(1.6), abs=1e-12)  # 0.67807
+        assert r2 == pytest.approx(math.log2(1.75), abs=1e-12)  # 0.80735
 
     def test_all_power_to_weak_user(self):
-        pt = noma_rate_pair(CH13, PowerSplit(0.0))
-        assert (pt.r1, pt.r2) == (1.0, 0.0)
+        assert noma_rates(1.0, 3.0, 0.0) == (1.0, 0.0)
 
     def test_half_split_is_point_f(self):
-        pt = noma_rate_pair(CH13, PowerSplit(0.5))
-        assert pt.r1 == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
-        assert pt.r2 == pytest.approx(math.log2(2.5), abs=1e-12)
+        r1, r2 = noma_rates(1.0, 3.0, 0.5)
+        assert r1 == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
+        assert r2 == pytest.approx(math.log2(2.5), abs=1e-12)
 
     def test_infeasible_split(self):
+        # a ValueError, so the CLI maps it to exit 2
         with pytest.raises(InfeasibleSplitError):
-            noma_rate_pair(CH13, PowerSplit(0.75))
+            PowerSplit(0.75).require_noma()
+        assert issubclass(InfeasibleSplitError, ValueError)
 
     def test_point_lies_on_boundary(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            x = rng.uniform(0.05, 40.0)
-            ch = ChannelPair(x, x * (1 + rng.uniform(0.01, 20.0)))
-            pt = noma_rate_pair(ch, PowerSplit(rng.uniform(0.0, 0.5)))
-            assert abs(pt.r1 - noma_boundary(pt.r2, ch)) <= 1e-10
+        x, y = _channels(rng, 200)
+        r1, r2 = noma_rates(x, y, rng.uniform(0.0, 0.5, 200))
+        assert np.all(np.abs(r1 - f_noma(r2, x, y)) <= 1e-10)
 
 
 class TestTdmaRatePair:
@@ -104,114 +116,91 @@ class TestTdmaRatePair:
         (0.0, (1.0, 0.0)),
     ])
     def test_examples(self, b2, expected):
-        pt = tdma_rate_pair(CH13, TimeSplit(b2))
-        assert (pt.r1, pt.r2) == pytest.approx(expected, abs=1e-12)
+        assert tdma_rates(1.0, 3.0, b2) == pytest.approx(expected, abs=1e-12)
 
 
 class TestBoundaries:
     def test_noma_endpoints_and_midpoint(self):
-        assert noma_boundary(0.0, CH13) == pytest.approx(1.0, abs=1e-12)
-        assert noma_boundary(2.0, CH13) == pytest.approx(0.0, abs=1e-12)
-        assert noma_boundary(1.0, CH13) == pytest.approx(math.log2(1.5), abs=1e-12)
+        assert f_noma(np.array([0.0, 2.0, 1.0]), 1.0, 3.0) == pytest.approx(
+            [1.0, 0.0, math.log2(1.5)], abs=1e-12)
 
     def test_tdma_linear(self):
-        assert tdma_boundary(0.0, CH13) == pytest.approx(1.0, abs=1e-12)
-        assert tdma_boundary(2.0, CH13) == pytest.approx(0.0, abs=1e-12)
-        assert tdma_boundary(1.0, CH13) == pytest.approx(0.5, abs=1e-12)
+        assert f_tdma(np.array([0.0, 2.0, 1.0]), 1.0, 3.0) == pytest.approx(
+            [1.0, 0.0, 0.5], abs=1e-12)
 
     def test_capacity_matches_noma_curve(self):
         z = math.log2(2.5)  # a2 = 1/2 point
-        assert noma_boundary(z, CH13) == pytest.approx(
+        assert f_noma(z, 1.0, 3.0) == pytest.approx(
             math.log2(4.0 / 3.0), abs=1e-12)
         # the capacity boundary is the NOMA curve over all of [0, R2*]
-        pts = region_boundary_samples("capacity", CH13, 3)
-        assert [(p.r1, p.r2) for p in pts] == pytest.approx(
-            [(1.0, 0.0), (math.log2(1.5), 1.0), (0.0, 2.0)], abs=1e-12)
-
-    def test_domain_slack_and_errors(self):
-        # round-off slack inside 1e-12 is clamped
-        assert noma_boundary(-1e-13, CH13) == pytest.approx(1.0, abs=1e-12)
-        assert tdma_boundary(2.0 + 1e-13, CH13) == pytest.approx(0.0, abs=1e-12)
-        for fn in (noma_boundary, tdma_boundary):
-            with pytest.raises(ValueError):
-                fn(-1e-6, CH13)
-            with pytest.raises(ValueError):
-                fn(2.1, CH13)
+        r1, r2 = region_boundary_samples("capacity", CH13, 3)
+        assert r1 == pytest.approx([1.0, math.log2(1.5), 0.0], abs=1e-12)
+        assert r2 == pytest.approx([0.0, 1.0, 2.0], abs=1e-12)
 
     def test_dominance(self):
         rng = np.random.default_rng(11)
-        for _ in range(1000):
-            x = rng.uniform(0.05, 40.0)
-            ch = ChannelPair(x, x * (1 + rng.uniform(0.01, 20.0)))
-            z = rng.uniform(0.0, single_user_rates(ch)[1])
-            assert noma_boundary(z, ch) >= tdma_boundary(z, ch) - 1e-12
+        x, y = _channels(rng, 1000)
+        z = rng.uniform(0.0, log2_1p(y))
+        assert np.all(f_noma(z, x, y) >= f_tdma(z, x, y) - 1e-12)
 
     def test_monotone_sum(self):
         rng = np.random.default_rng(12)
-        for _ in range(100):
-            x = rng.uniform(0.05, 40.0)
-            ch = ChannelPair(x, x * (1 + rng.uniform(0.01, 20.0)))
-            z = np.sort(rng.uniform(0.0, single_user_rates(ch)[1], 32))
-            vals = np.array([noma_boundary(float(zi), ch) + zi for zi in z])
-            assert np.all(np.diff(vals) > 0.0)
+        x, y = (v[:, None] for v in _channels(rng, 100))
+        z = np.sort(rng.uniform(0.0, log2_1p(y), (100, 32)), axis=1)
+        assert np.all(np.diff(f_noma(z, x, y) + z, axis=1) > 0.0)
 
     def test_concavity(self):
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            x = rng.uniform(0.05, 40.0)
-            ch = ChannelPair(x, x * (1 + rng.uniform(0.01, 20.0)))
-            r2s = single_user_rates(ch)[1]
-            h = r2s / 64.0
-            z = rng.uniform(2 * h, r2s - 2 * h)
-            second = (noma_boundary(z + h, ch) - 2 * noma_boundary(z, ch)
-                      + noma_boundary(z - h, ch))
-            assert second <= 1e-8 * abs(second) + 1e-15
+        x, y = _channels(rng, 100)
+        h = log2_1p(y) / 64.0
+        z = rng.uniform(2 * h, log2_1p(y) - 2 * h)
+        second = (f_noma(z + h, x, y) - 2 * f_noma(z, x, y)
+                  + f_noma(z - h, x, y))
+        assert np.all(second <= 1e-8 * np.abs(second) + 1e-15)
 
     def test_analytic_slope_matches_finite_difference(self):
         rng = np.random.default_rng(14)
         h = 1e-5
-        for _ in range(200):
-            x = rng.uniform(0.05, 40.0)
-            ch = ChannelPair(x, x * (1 + rng.uniform(0.01, 20.0)))
-            r2s = single_user_rates(ch)[1]
-            z = rng.uniform(2 * h, r2s - 2 * h)
-            fd = (noma_boundary(z + h, ch) - noma_boundary(z - h, ch)) / (2 * h)
-            an = f_noma_slope(z, ch.x, ch.y)
-            assert abs(fd - an) <= 1e-6 * abs(an)
+        x, y = _channels(rng, 200)
+        z = rng.uniform(2 * h, log2_1p(y) - 2 * h)
+        fd = (f_noma(z + h, x, y) - f_noma(z - h, x, y)) / (2 * h)
+        an = f_noma_slope(z, x, y)
+        assert np.all(np.abs(fd - an) <= 1e-6 * np.abs(an))
+
+    @pytest.mark.parametrize("x, y", [(1e300, 1e308), (1e-200, 1e-150)])
+    def test_extreme_snr_stays_in_float_range(self, x, y):
+        # (2^z - 1) x overflows past x y ~ 1.8e308, which read as a NOMA
+        # rate of 0 in the middle of the arc, and underflows below
+        # x y ~ 2.2e-308, which read as R1* all along it
+        mp = pytest.importorskip("mpmath")
+        z = np.array([0.25, 0.5, 0.75]) * log2_1p(y)
+        with mp.workdps(500):  # enough for 1 + x at x = 1e-200
+            xm, ym = mp.mpf(x), mp.mpf(y)
+            want = [mp.log((1 + xm) * ym / (ym + (2**mp.mpf(zi) - 1) * xm), 2)
+                    for zi in z.tolist()]
+        assert f_noma(z, x, y) == pytest.approx(
+            [float(w) for w in want], rel=1e-14, abs=0.0)
 
 
 class TestBoundarySamples:
     def test_tdma_three_points(self):
-        pts = region_boundary_samples("tdma", CH13, 3)
-        assert [(p.r1, p.r2) for p in pts] == pytest.approx(
-            [(1.0, 0.0), (0.5, 1.0), (0.0, 2.0)], abs=1e-12)
+        r1, r2 = region_boundary_samples("tdma", CH13, 3)
+        assert r1 == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
+        assert r2 == pytest.approx([0.0, 1.0, 2.0], abs=1e-12)
 
     def test_noma_endpoints(self):
-        pts = region_boundary_samples("noma", CH13, 2)
-        assert (pts[0].r1, pts[0].r2) == pytest.approx((1.0, 0.0), abs=1e-12)
+        r1, r2 = region_boundary_samples("noma", CH13, 2)
+        assert (r1[0], r2[0]) == pytest.approx((1.0, 0.0), abs=1e-12)
         # point F at a2 = 1/2
-        assert pts[1].r2 == pytest.approx(math.log2(2.5), abs=1e-12)
-        assert pts[1].r1 == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
-        assert noma_arc_z_max(CH13) == pytest.approx(math.log2(2.5), abs=1e-12)
+        assert (r1[1], r2[1]) == pytest.approx(noma_rates(1.0, 3.0, 0.5),
+                                               abs=1e-12)
+        assert r2[1] == pytest.approx(math.log2(2.5), abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["capacity", "noma", "tdma"])
     def test_first_point_and_monotonicity(self, kind):
-        pts = region_boundary_samples(kind, CH13, 33)
-        assert (pts[0].r1, pts[0].r2) == pytest.approx((1.0, 0.0), abs=1e-12)
-        r1 = [p.r1 for p in pts]
-        assert all(a >= b - 1e-12 for a, b in zip(r1, r1[1:]))
-
-    @pytest.mark.parametrize("kind,boundary", [("capacity", noma_boundary),
-                                               ("noma", noma_boundary),
-                                               ("tdma", tdma_boundary)])
-    @pytest.mark.parametrize("x,y", [(1.0, 3.0), (0.01, 1e6), (5.0, 5.0001),
-                                     (100.0, 3000.0), (1e-9, 2e-9)])
-    def test_matches_scalar_boundary_bit_for_bit(self, kind, boundary, x, y):
-        ch = ChannelPair(x, y)
-        pts = region_boundary_samples(kind, ch, 201)
-        got = [p.r1.hex() for p in pts]
-        want = [max(boundary(p.r2, ch), 0.0).hex() for p in pts]
-        assert got == want
+        r1, r2 = region_boundary_samples(kind, CH13, 33)
+        assert (r1[0], r2[0]) == pytest.approx((1.0, 0.0), abs=1e-12)
+        assert np.all(np.diff(r1) <= 1e-12)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
