@@ -5,14 +5,15 @@ K ~ Binomial(M, F(w2)) the number of the M gains below w2, x < w2 iff
 K >= m and y > w2 iff K <= n-1, so P(y > w2) and P(E2) are binomial CDFs.
 P(E4) is a 1-D integral over x of the m-th order-statistic density times
 the binomial tail of the gap y - x (David & Nagaraja, *Order Statistics*,
-section 2).
+section 2), done here by adaptive Gauss-Legendre quadrature in numpy.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from scipy.integrate import quad
+import numpy as np
 from scipy.special import bdtr, bdtrc, betaln
 
 from .events import e2_threshold
@@ -23,8 +24,36 @@ LN2 = math.log(2.0)
 #: slack used when clamping a rounded or integrated result to the unit interval
 CLAMP_TOL = 1e-9
 
-#: absolute and relative tolerance of the 1-D P(E4) integral
+#: absolute tolerance of the 1-D P(E4) integral
 QUAD_TOL = 1e-12
+
+#: the 8-node Gauss-Legendre rule on [-1, 1], also used by `quadrature`
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+# nodes of the rule on (0, 1), then on its two halves, left half first;
+# column j of the weights gives the whole (j = 0) or half estimate
+_PANEL_NODES = np.concatenate((_GL_NODES + 1.0, 0.5 * (_GL_NODES + 1.0),
+                               0.5 * (_GL_NODES + 3.0))) / 2.0
+_PANEL_WEIGHTS = np.zeros((24, 3))
+_PANEL_WEIGHTS[:8, 0] = 0.5 * _GL_WEIGHTS
+_PANEL_WEIGHTS[8:16, 1] = _PANEL_WEIGHTS[16:, 2] = 0.25 * _GL_WEIGHTS
+
+#: levels of panels (the starting panels are the first), and panels at one
+#: level, before the P(E4) integral gives up
+_QUAD_LEVELS = 40
+_QUAD_PANELS = 1024
+
+# Starting panels of the P(E4) integral end where its integrand can hold
+# features narrower than a long panel's node spacing: 0, 1, 3, 7 and 31 sd
+# from the mean of a Beta law (beyond 31 sd lies < 1e-13 of its mass);
+# 1 + x = (1 + lo)^(1/4, 1/2, 3/4), over which P(E4 | x) can decay as a
+# power of 1 + x; and x = rho * 2^k up to 16 rho, where q crowds toward 1
+_SD_STEPS = np.array([-31.0, -7.0, -3.0, -1.0, 0.0, 1.0, 3.0, 7.0, 31.0])
+_LO_STEPS = np.array([0.25, 0.5, 0.75])
+_RHO_STEPS = 2.0 ** np.arange(5.0)
+
+# upper end of the P(E4) integral in q
+_Q_MAX = 1.0 - 2.0**-40
 
 #: slack allowed on the complement identity before declaring inconsistency
 COMPLEMENT_TOL = 1e-6
@@ -122,6 +151,58 @@ def strong_user_tail(cfg: PairingConfig, a2: float) -> float:
     return float(bdtr(cfg.n - 1, cfg.M, _threshold_cdf(cfg, a2)))
 
 
+def _integrate(f: Callable[[np.ndarray], np.ndarray],
+               edges: np.ndarray) -> float:
+    """Integral of f from edges[0] to edges[-1] to QUAD_TOL, by adaptive
+    8-node Gauss-Legendre panels starting from those between the edges; f
+    maps an array of nodes to integrand values.
+
+    The error of a panel is |whole - (left + right)|.  A panel whose error
+    is within a quarter of its share of the unspent QUAD_TOL (split evenly
+    over the panels of its level) contributes its two halves; every other
+    panel is split into those halves.  The quarter is a margin for a panel
+    too coarse for its integrand, whose halves can be as far off as the
+    whole.  The nodes of all panels of a level are evaluated in one call
+    of f."""
+    lo = edges[:-1]
+    width = np.diff(edges)
+    fx = f((lo[:, None] + width[:, None] * _PANEL_NODES).ravel())
+    est = (fx.reshape(lo.size, 24) @ _PANEL_WEIGHTS) * width[:, None]
+    whole, halves = est[:, 0], est[:, 1:]
+    budget = QUAD_TOL
+    total = 0.0
+    for level in range(1, _QUAD_LEVELS + 1):
+        err = np.abs(whole - halves.sum(axis=1))
+        done = 4.0 * err <= budget / err.size
+        if done.all():
+            return total + float(halves.sum())
+        total += float(halves[done].sum())
+        budget -= float(err[done].sum())
+        refine = ~done
+        if (level == _QUAD_LEVELS
+                or 2 * np.count_nonzero(refine) > _QUAD_PANELS):
+            break
+        width = 0.5 * width[refine]
+        lo = np.stack((lo[refine], lo[refine] + width), axis=1).ravel()
+        width = np.repeat(width, 2)
+        whole = halves[refine].ravel()
+        fx = f((lo[:, None] + width[:, None] * _PANEL_NODES[8:]).ravel())
+        halves = ((fx.reshape(lo.size, 16) @ _PANEL_WEIGHTS[8:, 1:])
+                  * width[:, None])
+    raise ConvergenceError(
+        f"1-D quadrature budget of {_QUAD_LEVELS} levels or {_QUAD_PANELS} "
+        f"panels per level exhausted; residual error estimate "
+        f"{float(err[refine].sum()):.3e} above the {budget:.3e} left of "
+        f"tolerance {QUAD_TOL}")
+
+
+def _beta_cuts(a: int, b: int) -> np.ndarray:
+    """The points _SD_STEPS standard deviations from the mean of a Beta(a, b)
+    law."""
+    mean = a / (a + b)
+    return mean + math.sqrt(mean * (1.0 - mean) / (a + b + 1)) * _SD_STEPS
+
+
 def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     """P(E4) = P(sum_N < sum_T): TDMA beats NOMA on the sum rate.
 
@@ -135,26 +216,41 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     M, m, n, rho = cfg.M, cfg.m, cfg.n, cfg.rho
     w2 = e2_threshold(a2)
     lo = math.expm1(0.5 * math.log1p(w2))
+    # beyond _Q_MAX lies < M^2 * 1e-24 of q's mass; stopping there keeps
+    # every node off q = 1, where log1p(-q) = -inf
+    top = min(-math.expm1(-lo / rho), _Q_MAX)
+    # at a2 = 1/2, w2 = 0 and the interval is empty
+    if not top > 0.0:
+        return 0.0
     # log of the Beta normaliser, which overflows a float from M ~ 1,000 on
     log_norm = -betaln(m, M - m + 1)
 
-    def integrand(q: float) -> float:
-        xv = -rho * math.log1p(-q)
-        density = math.exp(log_norm + (m - 1) * math.log(q)
-                           + (M - m) * math.log1p(-q))
-        gap = (w2 - xv) / (1.0 + xv) - xv
-        return density * bdtrc(n - m - 1, M - m, -math.expm1(-gap / rho))
+    def integrand(q: np.ndarray) -> np.ndarray:
+        log_u = np.log1p(-q)
+        xv = -rho * log_u
+        density = np.exp(log_norm + (m - 1) * np.log(q) + (M - m) * log_u)
+        # rounding can carry x a hair past lo, where the gap turns negative
+        gap = np.maximum((w2 - xv) / (1.0 + xv) - xv, 0.0)
+        return density * bdtrc(n - m - 1, M - m, -np.expm1(-gap / rho))
 
-    # full_output keeps scipy from warning on its own heuristics (e.g.
-    # "probably divergent"); the error estimate is judged below instead
-    val, err, *_ = quad(integrand, 0.0, -math.expm1(-lo / rho),
-                        epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=500,
-                        full_output=1)
-    if err > max(10.0 * QUAD_TOL, 10.0 * QUAD_TOL * abs(val)):
-        raise ConvergenceError(
-            f"1-D quadrature error estimate {err} above tolerance {QUAD_TOL}")
+    # a ratio over rho may overflow to inf at extreme w2 or rho, which maps
+    # to q = 1 or F = 1 as it should
+    with np.errstate(over="ignore"):
+        # the integrand is the Beta(m, M-m+1) density of q times P(E4 | x),
+        # the Beta(n-m, M-n+1) CDF at p = F(g(x) - x); the cuts of the latter
+        # are mapped back to q through the root x of g(x) - x = -rho*log(1-p)
+        p = _beta_cuts(n - m, M - n + 1)
+        gap = -rho * np.log1p(-p[p < 1.0])
+        x_cuts = np.concatenate((
+            0.5 * (np.sqrt(gap**2 + 4.0 * (1.0 + w2)) - (2.0 + gap)),
+            np.expm1(math.log1p(lo) * _LO_STEPS), rho * _RHO_STEPS))
+        cuts = np.concatenate((_beta_cuts(m, M - m + 1),
+                               -np.expm1(-x_cuts / rho)))
+        edges = np.concatenate(
+            ([0.0], np.sort(cuts[(cuts > 0.0) & (cuts < top)]), [top]))
+        p4 = _integrate(integrand, edges)
     # the integral's own error can carry it a hair past 1
-    return _clamp_probability(val, "P(E4)")
+    return _clamp_probability(p4, "P(E4)")
 
 
 def event_probabilities_closed(cfg: PairingConfig, a2: float) -> EventProbabilities:

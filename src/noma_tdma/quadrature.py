@@ -32,7 +32,8 @@ from collections.abc import Callable
 import numpy as np
 from scipy.special import betainc, betaln
 
-from .analytic import ConvergenceError, EventProbabilities
+from .analytic import (_GL_NODES, _GL_WEIGHTS, ConvergenceError,
+                       EventProbabilities)
 from .events import classify_many
 from .order_stats import PairingConfig
 
@@ -141,9 +142,6 @@ def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
     # unbuffered and in index order, so each row sums its segments in s order
     np.add.at(masses, (seg_col, seg_labels - 1), upper - lower)
     return masses
-
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def _gauss8(panels: list[tuple[float, float]], cfg: PairingConfig, a2: float,

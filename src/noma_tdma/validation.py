@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import dblquad
 from scipy.special import betainc, chdtrc
 
 from . import analytic, montecarlo, quadrature
@@ -135,6 +134,10 @@ def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
     def us_density(s, u):
         x = -rho * math.log(u)
         return joint_pdf(x, x - rho * math.log(s), cfg) * rho**2 / (u * s)
+
+    # scipy.integrate adds ~25 MB and ~0.2 s to the import of every command,
+    # and only this check uses it
+    from scipy.integrate import dblquad
 
     mass, _ = dblquad(us_density, 0.0, 1.0, 0.0, 1.0,
                       epsabs=1e-10, epsrel=1e-10)

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
+from scipy.special import bdtrc, betaln
 
 from noma_tdma import analytic, quadrature
 from noma_tdma import (
@@ -135,10 +137,56 @@ class TestEps1Closed:
             1.0, abs=1e-12)
 
 
+@st.composite
+def _event_points(draw, max_M=40, max_db=40.0):
+    """(cfg, a2) with M <= max_M, 6.1 dB to max_db, and a2 = 1/sqrt(rho),
+    uniform on [0.01, 1/2] or the special split."""
+    M = draw(st.integers(2, max_M))
+    m = draw(st.integers(1, M - 1))
+    n = draw(st.integers(m + 1, M))
+    rho = 10.0**(draw(st.floats(6.1, max_db)) / 10.0)
+    a2 = draw(st.one_of(st.just(1.0 / math.sqrt(rho)), st.floats(0.01, 0.5),
+                        st.just(optimal_a2_special(rho))))
+    return PairingConfig(M, m, n, rho), a2
+
+
+def _quadpack_p_eps4(cfg, a2):
+    """P(E4) by scipy's QUADPACK over the q = F(x) integrand of
+    `p_eps4_closed`, one scalar node at a time.  Breakpoints a decade apart
+    toward q = 0 and q = 1 let it see mass packed near x = 0 at high SNR,
+    or far out in x's tail, which it misses without them."""
+    M, m, n, rho = cfg.M, cfg.m, cfg.n, cfg.rho
+    w2 = e2_threshold(a2)
+    top = -math.expm1(-math.expm1(0.5 * math.log1p(w2)) / rho)
+    if top == 0.0:
+        return 0.0
+    log_norm = -betaln(m, M - m + 1)
+
+    def integrand(q):
+        # a node rounded onto q = 1, where the density vanishes
+        if q >= 1.0:
+            return 0.0
+        x = -rho * math.log1p(-q)
+        density = math.exp(log_norm + (m - 1) * math.log(q)
+                           + (M - m) * math.log1p(-q))
+        gap = (w2 - x) / (1.0 + x) - x
+        return density * bdtrc(n - m - 1, M - m, -math.expm1(-gap / rho))
+
+    decades = 10.0**-np.arange(1, 16)
+    points = np.concatenate((top * decades, 1.0 - decades))
+    val, *_ = quad(integrand, 0.0, top, epsabs=1e-13, epsrel=1e-13,
+                   limit=500, points=points[points < top], full_output=1)
+    # as p_eps4_closed, a probability
+    return min(val, 1.0)
+
+
 class TestEps4Closed:
     def test_boundary_split_vanishes(self):
-        # w2 = 0 empties both the integration interval and the event
-        assert p_eps4_closed(PairingConfig(10, 2, 7, RHO25), 0.5) == 0.0
+        # w2 = 0 empties both the integration interval and the event: no
+        # node may land on q = 0, where log(q) warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p_eps4_closed(PairingConfig(10, 2, 7, RHO25), 0.5) == 0.0
 
     def test_against_quadrature_oracle(self):
         for (m, n) in [(1, 10), (2, 7), (5, 6)]:
@@ -153,6 +201,45 @@ class TestEps4Closed:
         # of order rho: the integral must still see all of x's mass
         cfg = PairingConfig(10, 2, 7, RHO25)
         assert p_eps4_closed(cfg, a2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_tiny_split_sees_a_narrow_x(self):
+        # at M = 1e5, q = F(x) has sd 1.4e-3 about its mean 1/4; the nearest
+        # nodes of one panel over (0, 1) and its halves lie 33 sd away
+        cfg = PairingConfig(100_000, 25_000, 26_000, RHO25)
+        assert p_eps4_closed(cfg, 1e-20) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("M, m, n, rho, a2", [
+        (2000, 230, 250, 10.0, 0.4),
+        (2000, 230, 250, 10.0, 0.3),
+        # P(E4 | x) falls from ~1/2 to ~0 within x < 1, the first 1e-3 of
+        # the interval in q, where no node of one panel over all of it lies
+        (173, 3, 110, 12772.574661532124, 0.008848319072266938),
+        # P(E4 | x) decays as (1 + x)^-5 from x ~ 1 to 6,500
+        (6, 1, 6, 60682653.59843265, 0.00015416579395467568),
+        # QUADPACK without breakpoints returns 4.5e-20 here, for 1.96e-5
+        (308, 1, 127, 5127415.153266604, 0.0005301608576121111),
+    ])
+    def test_narrow_integrands_match_quadpack(self, M, m, n, rho, a2):
+        cfg = PairingConfig(M, m, n, rho)
+        assert p_eps4_closed(cfg, a2) == pytest.approx(
+            _quadpack_p_eps4(cfg, a2), abs=1e-12)
+
+    @pytest.mark.parametrize("budget", ["_QUAD_LEVELS", "_QUAD_PANELS"])
+    def test_budget_exhaustion_raises(self, monkeypatch, budget):
+        # this integral splits two of its starting panels once: one level,
+        # or room for one panel per level, is too little
+        monkeypatch.setattr(analytic, budget, 1)
+        with pytest.raises(ConvergenceError, match="residual error estimate"):
+            p_eps4_closed(PairingConfig(20, 1, 10, RHO25),
+                          1.0 / math.sqrt(RHO25))
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_event_points(max_M=1000, max_db=80.0))
+    def test_matches_quadpack(self, point):
+        cfg, a2 = point
+        assert p_eps4_closed(cfg, a2) == pytest.approx(
+            _quadpack_p_eps4(cfg, a2), abs=1e-12)
 
 
 class TestEps3AndDistribution:
@@ -173,10 +260,10 @@ class TestEps3AndDistribution:
     @pytest.mark.parametrize("cfg, a2, expect", [
         (PairingConfig(10, 2, 7, RHO25), 1.0 / math.sqrt(RHO25),
          ("0x1.183088fb15a00p-9", "0x1.49efe6120978ep-1",
-          "0x1.69b6797d9bd16p-2", "0x1.caca62d88cdb9p-13")),
+          "0x1.69b6797d9bd16p-2", "0x1.caca62d88cdb1p-13")),
         (PairingConfig(20, 5, 6, 100.0), 0.1,
          ("0x1.8980d241dac14p-10", "0x1.3c1e8d9e2a664p-8",
-          "0x1.f9c23da8b438cp-1", "0x1.80626977428a2p-8")),
+          "0x1.f9c23da8b438cp-1", "0x1.806269774289fp-8")),
     ], ids=["M10_m2_n7_25dB", "M20_m5_n6_20dB"])
     def test_pinned_output(self, cfg, a2, expect):
         # exact values, within 2.3e-16 of 40-digit mpmath: any change to the
@@ -274,19 +361,6 @@ def test_closed_forms_match_mpmath_up_to_m200(M, m, n, rho_db, a2_mode):
     expect = _mpmath_event_probs(M, m, n, rho, a2)
     probs = event_probabilities_closed(PairingConfig(M, m, n, rho), a2)
     assert probs.as_tuple() == pytest.approx(expect, abs=1e-12)
-
-
-@st.composite
-def _event_points(draw):
-    """(cfg, a2) with M <= 40, 6.1-40 dB, and a2 = 1/sqrt(rho), uniform on
-    [0.01, 1/2] or the special split."""
-    M = draw(st.integers(2, 40))
-    m = draw(st.integers(1, M - 1))
-    n = draw(st.integers(m + 1, M))
-    rho = 10.0**(draw(st.floats(6.1, 40.0)) / 10.0)
-    a2 = draw(st.one_of(st.just(1.0 / math.sqrt(rho)), st.floats(0.01, 0.5),
-                        st.just(optimal_a2_special(rho))))
-    return PairingConfig(M, m, n, rho), a2
 
 
 class TestQuadratureOracle:

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import noma_tdma
 from noma_tdma.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -298,6 +303,26 @@ class TestValidate:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--suite", "bogus"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_heavy_scipy_loads_with_the_orderstats_suite_only(self):
+        # every command pays the import of noma_tdma.cli in a fresh process;
+        # these scipy submodules add ~0.2 s and ~25 MB to it, and only the
+        # orderstats self-check (dblquad, kstest) needs them
+        code = textwrap.dedent("""
+            import json, sys
+            from noma_tdma.cli import main
+            heavy = ["scipy.integrate", "scipy.optimize", "scipy.stats",
+                     "scipy.sparse.linalg"]
+            at_import = [name for name in heavy if name in sys.modules]
+            rc = main(["validate", "--suite", "orderstats"])
+            print(json.dumps([at_import, rc, "scipy.integrate" in sys.modules]))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            noma_tdma.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[], EXIT_OK, True]
 
 
 class TestManifest:
