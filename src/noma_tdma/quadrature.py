@@ -166,8 +166,7 @@ def _halves(lo: float, hi: float) -> list[tuple[float, float]]:
 
 
 def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.5,
-                                   tol: float = 1e-6,
-                                   max_panels: int = _MAX_PANELS) -> EventProbabilities:
+                                   tol: float = 1e-6) -> EventProbabilities:
     """All four event probabilities by adaptive 2-D quadrature of the joint
     density against the classifier indicator.  Deterministic for fixed tol."""
     if not 1e-10 <= tol < math.inf:
@@ -200,9 +199,9 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
         total_err = -math.fsum(item[0] for item in heap)
         if total_err <= 0.5 * tol:
             break
-        if len(heap) >= max_panels:
+        if len(heap) >= _MAX_PANELS:
             raise ConvergenceError(
-                f"u-panel budget {max_panels} exhausted; residual error "
+                f"u-panel budget {_MAX_PANELS} exhausted; residual error "
                 f"estimate {total_err:.3e} (panels refined: {refined})")
         _, _, lo, mid, hi, left, right = heapq.heappop(heap)
         ll, lr, rl, rr = _gauss8(_halves(lo, mid) + _halves(mid, hi),

@@ -259,15 +259,16 @@ class TestEps3AndDistribution:
 
     @pytest.mark.parametrize("cfg, a2, expect", [
         (PairingConfig(10, 2, 7, RHO25), 1.0 / math.sqrt(RHO25),
-         ("0x1.183088fb15a00p-9", "0x1.49efe6120978ep-1",
-          "0x1.69b6797d9bd16p-2", "0x1.caca62d88cdb1p-13")),
+         ("0x1.183088fb15984p-9", "0x1.49efe6120978ep-1",
+          "0x1.69b6797d9bd15p-2", "0x1.caca62d88cdb1p-13")),
         (PairingConfig(20, 5, 6, 100.0), 0.1,
-         ("0x1.8980d241dac14p-10", "0x1.3c1e8d9e2a664p-8",
+         ("0x1.8980d241dac16p-10", "0x1.3c1e8d9e2a664p-8",
           "0x1.f9c23da8b438cp-1", "0x1.806269774289fp-8")),
     ], ids=["M10_m2_n7_25dB", "M20_m5_n6_20dB"])
     def test_pinned_output(self, cfg, a2, expect):
-        # exact values, within 2.3e-16 of 40-digit mpmath: any change to the
-        # binomial CDFs, the P(E4) integrand or its tolerance moves the bits
+        # exact values, within 2.3e-16 absolute and 1.8e-15 relative of
+        # 40-digit mpmath: any change to the binomial tails, the P(E4)
+        # integrand or its tolerance moves the bits
         probs = event_probabilities_closed(cfg, a2)
         assert tuple(p.hex() for p in probs.as_tuple()) == expect
 
@@ -289,6 +290,16 @@ class TestEps3AndDistribution:
         assert calls == {"p_eps2_closed": 1, "p_eps4_closed": 1,
                          "strong_user_tail": 1}
 
+    def test_sum_is_checked(self, monkeypatch):
+        # no probability is one minus the others, so an error in P(E2)
+        # shows in the sum of the four
+        p2 = analytic.p_eps2_closed
+        monkeypatch.setattr(analytic, "p_eps2_closed",
+                            lambda cfg, a2: p2(cfg, a2) + 1e-6)
+        with pytest.raises(InconsistencyError, match="sum to"):
+            event_probabilities_closed(PairingConfig(10, 2, 7, RHO25),
+                                       1.0 / math.sqrt(RHO25))
+
     def test_invalid_distribution_rejected(self):
         with pytest.raises(InconsistencyError):
             EventProbabilities(0.5, 0.5, 0.5, 0.5, method="closed_form")
@@ -299,7 +310,8 @@ class TestEps3AndDistribution:
 def _mpmath_event_probs(M, m, n, rho, a2):
     """[P(E1), ..., P(E4)] at 40 digits for the float inputs, from the
     binomial count of gains below w2 and, for P(E4), the integral over the
-    n-th order statistic y of P(x < (w2 - y)/(1 + y) | y)."""
+    n-th order statistic y of P(x < (w2 - y)/(1 + y) | y); each keeps its
+    relative accuracy, however small."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         rho, a2 = mp.mpf(rho), mp.mpf(a2)
@@ -324,8 +336,18 @@ def _mpmath_event_probs(M, m, n, rho, a2):
             return (n * mp.binomial(M, n) * Fy**(n - 1) * (1 - Fy)**(M - n)
                     * mp.exp(-y / rho) / rho * share)
 
-        p4 = below_lo + mp.quad(integrand, mp.linspace(lo, w2, 5))
-        return [float(p) for p in (p1, p2, 1 - p1 - p2 - p4, p4)]
+        # mp.quad stops at an absolute error of 10^-dps, so the integrand is
+        # taken relative to its largest value at the edges; 20 digits of the
+        # integral are plenty against a float and cost half the time of 40
+        edges = mp.linspace(lo, w2, 5)
+        scale = max(integrand(y) for y in edges) or 1
+        with mp.workdps(20):
+            part = mp.quad(lambda y: integrand(y) / scale, edges)
+        p4 = below_lo + scale * part
+        # E4 implies y < w2; 1 - p1 - p2 - p4 would lose every digit below
+        # 1e-40
+        p3 = mp.fsum(pmf(k, q) for k in range(n, M + 1)) - p4
+        return [float(p) for p in (p1, p2, p3, p4)]
 
 
 def _large_m_points():
@@ -361,6 +383,28 @@ def test_closed_forms_match_mpmath_up_to_m200(M, m, n, rho_db, a2_mode):
     expect = _mpmath_event_probs(M, m, n, rho, a2)
     probs = event_probabilities_closed(PairingConfig(M, m, n, rho), a2)
     assert probs.as_tuple() == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("M, m, n, rho_db, a2", [
+    (10, 2, 7, 40.0, 0.45),
+    (10, 3, 5, 50.0, 0.4),
+    (50, 10, 30, 60.0, None),
+    (20, 3, 9, 70.0, 0.49),
+    (20, 1, 14, 80.0, 0.45),
+])
+def test_small_probabilities_keep_relative_accuracy(M, m, n, rho_db, a2):
+    # at high SNR and a split near 1/2 the gains crowd above w2, and P(E2)
+    # or P(E3) falls far below 1e-16; a difference of numbers near 1 would
+    # keep none of its digits
+    rho = 10.0**(rho_db / 10.0)
+    a2 = a2 or 1.0 / math.sqrt(rho)
+    expect = _mpmath_event_probs(M, m, n, rho, a2)
+    probs = event_probabilities_closed(PairingConfig(M, m, n, rho), a2)
+    assert probs.p1 == pytest.approx(expect[0], rel=1e-13, abs=0.0)
+    assert probs.p2 == pytest.approx(expect[1], rel=1e-13, abs=0.0)
+    # P(E3) = P(K >= n) - P(E4) carries the absolute error of the P(E4)
+    # integral
+    assert probs.p3 == pytest.approx(expect[2], rel=1e-10, abs=0.0)
 
 
 class TestQuadratureOracle:
@@ -466,12 +510,13 @@ class TestQuadratureOracle:
             with pytest.raises(ValueError):
                 event_probabilities_quadrature(cfg, 0.2, tol=tol)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         # the budget runs out during refinement, not at the start
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
         cfg = PairingConfig(10, 4, 5, RHO25)
         with pytest.raises(ConvergenceError, match=r"panels refined: [1-9]"):
             event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25),
-                                           tol=1e-9, max_panels=16)
+                                           tol=1e-9)
 
     @pytest.mark.parametrize("M, m, n, rho_db, a2, tol", [
         (38, 26, 27, 39.2, 0.010971, 1e-6),
