@@ -1,5 +1,8 @@
 """Two-user downlink NOMA vs. TDMA: rate regions, event classification, and
-event probabilities by closed form, quadrature, and Monte Carlo."""
+event probabilities by closed form, quadrature, and Monte Carlo.  Names from
+the modules that import scipy are loaded on first access (PEP 562)."""
+
+import importlib
 
 from .regions import (
     ChannelPair,
@@ -11,8 +14,12 @@ from .regions import (
 from .events import (
     DegenerateSplitError,
     ClassificationError,
+    EventProbabilities,
+    InconsistencyError,
+    ConvergenceError,
     classify_many,
     e2_threshold,
+    optimal_a2_special,
 )
 from .order_stats import (
     PairingConfig,
@@ -20,24 +27,28 @@ from .order_stats import (
     marginal_cdf_n,
     sample_pairs,
 )
-from .analytic import (
-    EventProbabilities,
-    InconsistencyError,
-    ConvergenceError,
-    p_eps2_closed,
-    p_eps4_closed,
-    p_eps2_special,
-    optimal_a2_special,
-    strong_user_tail,
-    event_probabilities_closed,
-)
-from .quadrature import event_probabilities_quadrature
 from .montecarlo import (
     McConfig,
     AverageRates,
     estimate_event_probs,
     estimate_average_rates,
-    binomial_interval,
 )
 
 __version__ = "0.1.0"
+
+# names defined in the modules that import scipy, with their module
+_LAZY = {name: "analytic" for name in (
+    "p_eps2_closed", "p_eps4_closed", "p_eps2_special", "strong_user_tail",
+    "event_probabilities_closed")}
+_LAZY.update(event_probabilities_quadrature="quadrature",
+             binomial_interval="validation")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_LAZY])

@@ -15,18 +15,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import bdtr, bdtrc, betaln
 
-from .events import e2_threshold
+from .events import (CLAMP_TOL, ConvergenceError, EventProbabilities,
+                     InconsistencyError, e2_threshold)
 from .order_stats import PairingConfig
-
-LN2 = math.log(2.0)
-
-#: slack used when clamping a rounded or integrated result to the unit interval
-CLAMP_TOL = 1e-9
 
 #: absolute tolerance of the 1-D P(E4) integral
 QUAD_TOL = 1e-12
@@ -60,42 +55,6 @@ _RHO_STEPS = 2.0 ** np.arange(5.0)
 _Q_MAX = 1.0 - 2.0**-40
 
 
-class InconsistencyError(ArithmeticError):
-    """The closed forms produced a value incompatible with a probability."""
-
-
-class ConvergenceError(RuntimeError):
-    """Adaptive numerical integration failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class EventProbabilities:
-    """Distribution over the four events, with computation-method metadata."""
-
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-    method: str  # 'closed_form' | 'quadrature' | 'monte_carlo'
-    stderr: tuple[float, float, float, float] | None = None
-
-    def __post_init__(self):
-        probs = self.as_tuple()
-        for p in probs:
-            if not -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL:
-                raise InconsistencyError(f"probability {p} outside [0, 1]")
-        total = math.fsum(probs)
-        if self.method == "monte_carlo":
-            slack = 4.0 * math.fsum(self.stderr) if self.stderr else 1e-9
-        else:
-            slack = 1e-9
-        if abs(total - 1.0) > max(slack, 1e-9):
-            raise InconsistencyError(f"probabilities sum to {total}, not 1")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p1, self.p2, self.p3, self.p4)
-
-
 def _clamp_probability(p: float, what: str) -> float:
     if p < -CLAMP_TOL or p > 1.0 + CLAMP_TOL:
         raise InconsistencyError(f"{what} = {p} outside [0, 1]")
@@ -113,18 +72,6 @@ def p_eps2_special(M: int, d: float) -> float:
     if M < 2:
         raise ValueError("need M >= 2")
     return 1.0 - (1.0 - d)**M - d**M
-
-
-def optimal_a2_special(rho: float) -> float:
-    """Power split that maximizes P(E2) for (m, n) = (1, M): makes d = 1/2.
-
-    a2 = (sqrt(1 + rho*ln2) - 1) / (rho*ln2), always below 1/2.
-    """
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    c = rho * LN2
-    # sqrt(1+c)-1 rewritten to avoid cancellation for small c
-    return math.expm1(0.5 * math.log1p(c)) / c
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Subcommands: regions, events, sweep-n, rates, validate.  SNR is taken in dB
 on the command line and converted to linear rho = 10**(dB/10) internally.
 Every file-writing command drops a JSON run manifest next to its outputs so
-a run can be reproduced byte-identically.
+a run can be reproduced byte-identically.  The modules that import scipy
+are imported only by the method or subcommand that runs them.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import json
 import math
 import sys
 
-from . import __version__, analytic, montecarlo, quadrature, validation
-from .analytic import ConvergenceError, EventProbabilities
+from . import __version__, montecarlo
+from .events import ConvergenceError, EventProbabilities, optimal_a2_special
 from .montecarlo import McConfig, RNG_SCHEME
 from .order_stats import PairingConfig
 from .regions import (
@@ -34,6 +35,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
+
+#: the names of `validation.SUITES`, known here without importing it
+VALIDATE_SUITES = ("propositions", "regions", "orderstats", "probabilities")
 
 
 def _rows_to_csv(header: list[str], rows: list[list]) -> str:
@@ -89,7 +93,7 @@ def _resolve_a2(mode: str, rho: float) -> float:
     if mode == "inv_sqrt_rho":
         return 1.0 / math.sqrt(rho)
     if mode == "special":
-        return analytic.optimal_a2_special(rho)
+        return optimal_a2_special(rho)
     if mode.startswith("fixed:"):
         return float(mode.split(":", 1)[1])
     raise ValueError(
@@ -145,9 +149,13 @@ def _mc_config(args: argparse.Namespace) -> McConfig:
 def _solve(method: str, cfg: PairingConfig, a2: float,
            args: argparse.Namespace) -> EventProbabilities:
     """The four event probabilities at the time split args.b2 by one method."""
+    # imported on first use, since they load scipy; called as module
+    # attributes, so that wrappers set on those apply
     if method == "closed":
+        from . import analytic
         return analytic.event_probabilities_closed(cfg, a2)
     if method == "quadrature":
+        from . import quadrature
         return quadrature.event_probabilities_quadrature(
             cfg, a2, args.b2, args.quad_tol)
     return montecarlo.estimate_event_probs(cfg, a2, args.b2, _mc_config(args))
@@ -198,7 +206,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
     for rho_db in args.rho_db:
         rho = 10.0**(rho_db / 10.0)
         cfg = PairingConfig(args.M, args.m, args.n, rho)
-        a2 = analytic.optimal_a2_special(rho)
+        a2 = optimal_a2_special(rho)
         est = montecarlo.estimate_average_rates(cfg, a2, 0.5,
                                                 _mc_config(args))
         rows.append([rho_db, est.r1_noma, est.r2_noma, est.r1_tdma,
@@ -210,7 +218,8 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    suites = list(validation.SUITES) if args.suite == "all" else [args.suite]
+    from . import validation
+    suites = VALIDATE_SUITES if args.suite == "all" else [args.suite]
     records = validation.run_suites(suites, args.seed)
     rows = [[r["suite"], r["check"], "pass" if r["passed"] else "FAIL",
              r["detail"]] for r in records]
@@ -293,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run the self-check suites")
     sp.add_argument("--suite",
-                    choices=[*validation.SUITES, "all"], default="all")
+                    choices=[*VALIDATE_SUITES, "all"], default="all")
     sp.add_argument("--seed", type=int, default=42)
     _add_output_args(sp)
     sp.set_defaults(func=cmd_validate)

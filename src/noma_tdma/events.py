@@ -12,16 +12,21 @@ four subsegments; the event index says which subsegment T falls on:
 Each comparison is one function of one SNR: with the margin
 h(v) = b2*ln(1+v) - ln(1+a2*v) in nats, R1N - R1T = h(x)/ln 2,
 R2N - R2T = -h(y)/ln 2 and (R1N + R2N) - (R1T + R2T) = (h(x) - h(y))/ln 2.
+The three solvers' result type and errors are here too, on numpy alone.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 #: comparisons closer than this are ties, broken toward the lower event id
 TIE_TOL = 1e-12
+
+#: slack used when clamping a rounded or integrated result to the unit interval
+CLAMP_TOL = 1e-9
 
 # TIE_TOL in nats, the unit of the margins h
 _TIE_NATS = TIE_TOL * math.log(2.0)
@@ -34,6 +39,42 @@ class DegenerateSplitError(ValueError):
 
 class ClassificationError(RuntimeError):
     """No event condition matched; indicates a numerical tie slipped through."""
+
+
+class InconsistencyError(ArithmeticError):
+    """The closed forms produced a value incompatible with a probability."""
+
+
+class ConvergenceError(RuntimeError):
+    """Adaptive numerical integration failed to reach the requested tolerance."""
+
+
+@dataclass(frozen=True)
+class EventProbabilities:
+    """Distribution over the four events, with computation-method metadata."""
+
+    p1: float
+    p2: float
+    p3: float
+    p4: float
+    method: str  # 'closed_form' | 'quadrature' | 'monte_carlo'
+    stderr: tuple[float, float, float, float] | None = None
+
+    def __post_init__(self):
+        probs = self.as_tuple()
+        for p in probs:
+            if not -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL:
+                raise InconsistencyError(f"probability {p} outside [0, 1]")
+        total = math.fsum(probs)
+        if self.method == "monte_carlo":
+            slack = 4.0 * math.fsum(self.stderr) if self.stderr else 1e-9
+        else:
+            slack = 1e-9
+        if abs(total - 1.0) > max(slack, 1e-9):
+            raise InconsistencyError(f"probabilities sum to {total}, not 1")
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.p1, self.p2, self.p3, self.p4)
 
 
 # Required signs of E1..E4, in id order; None = condition not used (reduced
@@ -67,6 +108,19 @@ def e2_threshold(a2: float) -> float:
         raise DegenerateSplitError(f"need 0 < a2 <= 1/2, got {a2}")
     square = a2**2
     return (1.0 - 2.0 * a2) / square if square else math.inf
+
+
+def optimal_a2_special(rho: float) -> float:
+    """Power split that maximizes P(E2) for (m, n) = (1, M): the a2 at which
+    w2 = rho*ln2, so that F(w2) = 1/2.
+
+    a2 = (sqrt(1 + rho*ln2) - 1) / (rho*ln2), always below 1/2.
+    """
+    if not rho > 0.0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    c = rho * math.log(2.0)
+    # sqrt(1+c)-1 rewritten to avoid cancellation for small c
+    return math.expm1(0.5 * math.log1p(c)) / c
 
 
 def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:

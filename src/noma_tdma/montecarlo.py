@@ -14,10 +14,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
-from .analytic import EventProbabilities
-from .events import classify_many
+from .events import EventProbabilities, classify_many
 from .order_stats import PairingConfig, sample_pairs
 from .regions import noma_rates, tdma_rates
 
@@ -146,19 +144,6 @@ def estimate_event_probs(cfg: PairingConfig, a2: float, b2: float,
     stderr = np.sqrt(p * (1.0 - p) / N)
     return EventProbabilities(*map(float, p), method="monte_carlo",
                               stderr=tuple(map(float, stderr)))
-
-
-def binomial_interval(successes: int, trials: int,
-                      confidence: float = 0.95) -> tuple[float, float]:
-    """Exact (Clopper-Pearson) binomial confidence interval; use instead of
-    the normal-approximation stderr when trials < 1e4 or the frequency is
-    within 10/trials of 0 or 1."""
-    alpha = 1.0 - confidence
-    lo = 0.0 if successes == 0 else \
-        float(betaincinv(successes, trials - successes + 1, alpha / 2))
-    hi = 1.0 if successes == trials else \
-        float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
-    return lo, hi
 
 
 def estimate_average_rates(cfg: PairingConfig, a2: float, b2: float,

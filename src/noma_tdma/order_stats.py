@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtrc, betaln, xlogy
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,8 @@ def joint_pdf(x, y, cfg: PairingConfig):
     evaluated in logs, since 1/(B(u_shape) B(s_shape)) overflows a float
     from M ~ 640 on.  Accepts scalars or arrays.
     """
+    # imported here, so that the sampler, all Monte Carlo needs, is numpy only
+    from scipy.special import betaln, xlogy
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     # written so that NaN fails the check
@@ -73,6 +74,7 @@ def joint_pdf(x, y, cfg: PairingConfig):
 
 def marginal_cdf_n(t, cfg: PairingConfig):
     """CDF of the n-th order statistic: P(at least n of M draws <= t)."""
+    from scipy.special import bdtrc
     t = np.asarray(t, dtype=np.float64)
     # written so that NaN fails the check
     if not (t >= 0.0).all():

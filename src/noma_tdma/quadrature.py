@@ -32,9 +32,8 @@ from collections.abc import Callable
 import numpy as np
 from scipy.special import betainc, betaln
 
-from .analytic import (_GL_NODES, _GL_WEIGHTS, ConvergenceError,
-                       EventProbabilities)
-from .events import classify_many
+from .analytic import _GL_NODES, _GL_WEIGHTS
+from .events import ConvergenceError, EventProbabilities, classify_many
 from .order_stats import PairingConfig
 
 _BISECT_ITERS = 60   # cap on halvings; every bracket reaches adjacent floats first

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc, chdtrc
+from scipy.special import betainc, betaincinv, chdtrc
 
 from . import analytic, montecarlo, quadrature
 from .events import classify_many
@@ -19,6 +19,19 @@ AGREEMENT_RHO_DB = [20.0, 25.0, 30.0]
 #: probability that the exact binomial intervals of the MC frequencies hold
 #: every closed-form value of the grid at once: the 3-sigma normal coverage
 MC_CONFIDENCE = 0.9973
+
+
+def binomial_interval(successes: int, trials: int,
+                      confidence: float = 0.95) -> tuple[float, float]:
+    """Exact (Clopper-Pearson) binomial confidence interval; use instead of
+    the normal-approximation stderr when trials < 1e4 or the frequency is
+    within 10/trials of 0 or 1."""
+    alpha = 1.0 - confidence
+    lo = 0.0 if successes == 0 else \
+        float(betaincinv(successes, trials - successes + 1, alpha / 2))
+    hi = 1.0 if successes == trials else \
+        float(betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
+    return lo, hi
 
 
 def _record(suite: str, check: str, passed: bool, detail: str) -> dict:
@@ -224,8 +237,8 @@ def check_probabilities(seed: int, trials: int = 1_000_000,
                      zip(closed.as_tuple(), quad.as_tuple()))
             # Clopper-Pearson, not the normal stderr: that is 0 for an event
             # never sampled, and rare events (P(E4) ~ 3e-7) often are not
-            intervals = [montecarlo.binomial_interval(round(f * trials), trials,
-                                                      confidence)
+            intervals = [binomial_interval(round(f * trials), trials,
+                                           confidence)
                          for f in mc.as_tuple()]
             dmc = max(max(lo - p, p - hi) for p, (lo, hi) in
                       zip(closed.as_tuple(), intervals))

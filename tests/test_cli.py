@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -9,10 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import noma_tdma
+from noma_tdma import quadrature
 from noma_tdma.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    VALIDATE_SUITES,
     main,
 )
 
@@ -306,23 +310,158 @@ class TestValidate:
 
     def test_heavy_scipy_loads_with_the_orderstats_suite_only(self):
         # every command pays the import of noma_tdma.cli in a fresh process;
-        # these scipy submodules add ~0.2 s and ~25 MB to it, and only the
-        # orderstats self-check (dblquad, kstest) needs them
+        # scipy.special adds ~0.2 s and ~23 MB to it, and only the closed
+        # forms, the quadrature and `validate` need it; the heavier scipy
+        # submodules only the orderstats self-check (dblquad, kstest) needs
         code = textwrap.dedent("""
             import json, sys
+            def scipy_loaded():
+                return any(name.split(".")[0] == "scipy"
+                           for name in sys.modules)
+            import noma_tdma
+            loaded = [scipy_loaded()]
             from noma_tdma.cli import main
+            loaded.append(scipy_loaded())
+            mc = ["--M", "6", "--m", "2", "--trials", "4096"]
+            for argv in (["regions", "--x", "1", "--y", "3", "--points", "3",
+                          "--mark-a2", "0.25"],
+                         ["rates", *mc, "--n", "5", "--rho-db", "20"],
+                         ["events", *mc, "--n", "5", "--method", "mc"],
+                         ["sweep-n", *mc, "--method", "mc"]):
+                assert main(argv) == 0, argv
+                loaded.append(scipy_loaded())
+            assert main(["events", "--m", "2", "--n", "7",
+                         "--method", "closed"]) == 0
+            loaded.append("scipy.special" in sys.modules)
             heavy = ["scipy.integrate", "scipy.optimize", "scipy.stats",
                      "scipy.sparse.linalg"]
             at_import = [name for name in heavy if name in sys.modules]
             rc = main(["validate", "--suite", "orderstats"])
-            print(json.dumps([at_import, rc, "scipy.integrate" in sys.modules]))
+            print(json.dumps([loaded, at_import, rc,
+                              "scipy.integrate" in sys.modules]))
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(
             noma_tdma.__file__)))
         proc = subprocess.run([sys.executable, "-c", code], check=True,
                               capture_output=True, text=True, timeout=300,
                               env={**os.environ, "PYTHONPATH": src})
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[], EXIT_OK, True]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [
+            [False] * 6 + [True], [], EXIT_OK, True]
+
+
+# every name the package exported when each was imported eagerly, with the
+# module that defines it
+PUBLIC_NAMES = {
+    "regions": ["ChannelPair", "PowerSplit", "TimeSplit",
+                "InfeasibleSplitError", "region_boundary_samples"],
+    "events": ["DegenerateSplitError", "ClassificationError", "classify_many",
+               "e2_threshold", "EventProbabilities", "InconsistencyError",
+               "ConvergenceError", "optimal_a2_special"],
+    "order_stats": ["PairingConfig", "joint_pdf", "marginal_cdf_n",
+                    "sample_pairs"],
+    "analytic": ["p_eps2_closed", "p_eps4_closed", "p_eps2_special",
+                 "strong_user_tail", "event_probabilities_closed"],
+    "quadrature": ["event_probabilities_quadrature"],
+    "montecarlo": ["McConfig", "AverageRates", "estimate_event_probs",
+                   "estimate_average_rates"],
+    "validation": ["binomial_interval"],
+}
+
+
+class TestPublicApi:
+    @pytest.mark.parametrize("module, name", [
+        (module, name) for module, names in PUBLIC_NAMES.items()
+        for name in names])
+    def test_name_is_its_defining_modules_object(self, module, name):
+        defined = getattr(importlib.import_module(f"noma_tdma.{module}"),
+                          name)
+        assert getattr(noma_tdma, name) is defined
+        assert name in dir(noma_tdma)
+
+    def test_one_error_class_for_every_solver(self):
+        from noma_tdma import analytic
+        assert (noma_tdma.ConvergenceError is analytic.ConvergenceError
+                is quadrature.ConvergenceError)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            noma_tdma.no_such_name
+
+    def test_quadrature_convergence_error_exits_3(self, monkeypatch, capsys):
+        # the budget runs out during refinement, not at the start
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        rc = main(["events", "--m", "4", "--n", "5", "--method",
+                   "quadrature", "--quad-tol", "1e-9"])
+        assert rc == EXIT_NO_CONVERGENCE
+        assert "panels refined" in capsys.readouterr().err
+
+    def test_validate_suite_names(self):
+        from noma_tdma import validation
+        assert VALIDATE_SUITES == tuple(validation.SUITES)
+
+
+class TestExitCodes:
+    # 63 examples: 7 for each command and method
+    @pytest.mark.parametrize("command, method", [("rates", None)] + [
+        (command, method) for command in ("events", "sweep-n")
+        for method in ("closed", "quadrature", "mc", "all")])
+    @settings(max_examples=7, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_solver_commands_exit_0_2_or_3(self, command, method, data):
+        # the solvers are imported on first use, so a lookup that fails
+        # would show as a traceback or as exit 1, which only `validate`
+        # returns.  A valid argv has up to three of its values spoilt; M,
+        # --trials and --shards are capped and tolerances in (1e-10, 1e-5),
+        # valid but slow, are left out to keep this fast
+        M = data.draw(st.integers(2, 50))
+        m = data.draw(st.integers(1, M - 1))
+        args = {"M": st.just(M), "m": st.just(m),
+                "trials": st.integers(1, 2000), "shards": st.integers(1, 2),
+                "seed": st.integers(0, 2**64)}
+        bad = {"M": st.integers(-2, 1), "m": st.integers(-2, 60),
+               "n": st.integers(-2, 60), "rho-db": st.floats(),
+               "a2-mode": st.one_of(st.just("bogus"), st.floats().map(
+                   lambda v: f"fixed:{v!r}")),
+               "b2": st.floats(), "method": st.just("bogus"),
+               "quad-tol": st.one_of(st.just(math.nan),
+                                     st.floats(max_value=1e-11)),
+               "trials": st.integers(-2, 0), "shards": st.integers(-1, 0),
+               "seed": st.sampled_from([-1, 2**300])}
+        if command != "sweep-n":
+            args["n"] = st.integers(m + 1, M)
+        if command == "rates":
+            args["rho-db"] = st.lists(st.floats(10.0, 40.0), min_size=1,
+                                      max_size=3)
+            bad["rho-db"] = st.lists(st.floats(), min_size=1, max_size=3)
+        else:
+            args.update({
+                "rho-db": st.floats(10.0, 40.0),
+                "a2-mode": st.one_of(
+                    st.sampled_from(["inv_sqrt_rho", "special"]),
+                    st.floats(1e-3, 0.5).map(lambda v: f"fixed:{v!r}")),
+                # the closed forms hold at b2 = 1/2 only
+                "b2": st.just(0.5) if method in ("closed", "all")
+                else st.floats(0.01, 0.99),
+                "method": st.just(method),
+                "quad-tol": st.floats(1e-5, 1e-2)})
+        spoilt = data.draw(st.lists(st.sampled_from(sorted(args)),
+                                    max_size=3, unique=True))
+        argv = [command]
+        for key, valid in args.items():
+            value = data.draw(bad[key] if key in spoilt else valid)
+            if isinstance(value, list):
+                argv += [f"--{key}", *map(repr, value)]
+            elif isinstance(value, str):
+                argv.append(f"--{key}={value}")
+            else:
+                argv.append(f"--{key}={value!r}")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            assert exc.code == EXIT_USAGE
+        else:
+            assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NO_CONVERGENCE)
 
 
 class TestManifest:
