@@ -26,7 +26,7 @@ from .order_stats import PairingConfig
 #: absolute tolerance of the 1-D P(E4) integral
 QUAD_TOL = 1e-12
 
-#: the 8-node Gauss-Legendre rule on [-1, 1], also used by `quadrature`
+#: the 8-node Gauss-Legendre rule on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 # nodes of the rule on (0, 1), then on its two halves, left half first;
@@ -38,7 +38,8 @@ _PANEL_WEIGHTS[:8, 0] = 0.5 * _GL_WEIGHTS
 _PANEL_WEIGHTS[8:16, 1] = _PANEL_WEIGHTS[16:, 2] = 0.25 * _GL_WEIGHTS
 
 #: levels of panels (the starting panels are the first), and panels at one
-#: level, before the P(E4) integral gives up
+#: level, before `_integrate` gives up; the one budget of the P(E4) integral
+#: and of the quadrature oracle
 _QUAD_LEVELS = 40
 _QUAD_PANELS = 1024
 
@@ -103,32 +104,50 @@ def strong_user_tail(cfg: PairingConfig, a2: float) -> float:
     return float(bdtr(cfg.n - 1, cfg.M, _threshold_cdf(cfg, a2)))
 
 
-def _integrate(f: Callable[[np.ndarray], np.ndarray],
-               edges: np.ndarray) -> float:
-    """Integral of f from edges[0] to edges[-1] to QUAD_TOL, by adaptive
-    8-node Gauss-Legendre panels starting from those between the edges; f
-    maps an array of nodes to integrand values.
+def _beta_pdf(t: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The Beta(a, b) density at t in (0, 1), in logs: B(a, b) underflows
+    a float from a + b ~ 1,000 on."""
+    return np.exp(-betaln(a, b) + (a - 1) * np.log(t) + (b - 1) * np.log1p(-t))
 
-    The error of a panel is |whole - (left + right)|.  A panel whose error
-    is within a quarter of its share of the unspent QUAD_TOL (split evenly
-    over the panels of its level) contributes its two halves; every other
-    panel is split into those halves.  The quarter is a margin for a panel
-    too coarse for its integrand, whose halves can be as far off as the
-    whole.  The nodes of all panels of a level are evaluated in one call
-    of f."""
+
+def _panel_estimates(fx: np.ndarray, width: np.ndarray,
+                     weights: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre estimates of panels of the given widths from their
+    node values fx, one row of k components per node, len(weights) nodes
+    per panel; shape (panels, k, columns of weights)."""
+    nodes, cols = weights.shape
+    rows = fx.reshape(width.size, nodes, -1).transpose(0, 2, 1)
+    est = rows.reshape(-1, nodes) @ weights
+    return est.reshape(width.size, -1, cols) * width[:, None, None]
+
+
+def _integrate(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
+               tol: float = QUAD_TOL) -> np.ndarray:
+    """The k integrals of a vector integrand from edges[0] to edges[-1] to an
+    absolute tol, by adaptive 8-node Gauss-Legendre panels starting from
+    those between the edges; f maps an array of nodes to one row of k
+    components per node.
+
+    The error of a panel is the sum over the components of
+    |whole - (left + right)|.  A panel whose error is within a quarter of
+    its share of the unspent tol (split evenly over the panels of its level)
+    contributes its two halves; every other panel is split into those
+    halves.  The quarter is a margin for a panel too coarse for its
+    integrand, whose halves can be as far off as the whole.  The nodes of
+    all panels of a level are evaluated in one call of f."""
     lo = edges[:-1]
     width = np.diff(edges)
     fx = f((lo[:, None] + width[:, None] * _PANEL_NODES).ravel())
-    est = (fx.reshape(lo.size, 24) @ _PANEL_WEIGHTS) * width[:, None]
-    whole, halves = est[:, 0], est[:, 1:]
-    budget = QUAD_TOL
+    est = _panel_estimates(fx, width, _PANEL_WEIGHTS)
+    whole, halves = est[:, :, 0], est[:, :, 1:]
+    budget = tol
     total = 0.0
     for level in range(1, _QUAD_LEVELS + 1):
-        err = np.abs(whole - halves.sum(axis=1))
+        err = np.abs(whole - halves.sum(axis=2)).sum(axis=1)
         done = 4.0 * err <= budget / err.size
         if done.all():
-            return total + float(halves.sum())
-        total += float(halves[done].sum())
+            return total + halves.sum(axis=(0, 2))
+        total += halves[done].sum(axis=(0, 2))
         budget -= float(err[done].sum())
         refine = ~done
         if (level == _QUAD_LEVELS
@@ -137,15 +156,14 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray],
         width = 0.5 * width[refine]
         lo = np.stack((lo[refine], lo[refine] + width), axis=1).ravel()
         width = np.repeat(width, 2)
-        whole = halves[refine].ravel()
+        whole = halves[refine].transpose(0, 2, 1).reshape(lo.size, -1)
         fx = f((lo[:, None] + width[:, None] * _PANEL_NODES[8:]).ravel())
-        halves = ((fx.reshape(lo.size, 16) @ _PANEL_WEIGHTS[8:, 1:])
-                  * width[:, None])
+        halves = _panel_estimates(fx, width, _PANEL_WEIGHTS[8:, 1:])
     raise ConvergenceError(
-        f"1-D quadrature budget of {_QUAD_LEVELS} levels or {_QUAD_PANELS} "
+        f"quadrature budget of {_QUAD_LEVELS} levels or {_QUAD_PANELS} "
         f"panels per level exhausted; residual error estimate "
         f"{float(err[refine].sum()):.3e} above the {budget:.3e} left of "
-        f"tolerance {QUAD_TOL}")
+        f"tolerance {tol}")
 
 
 def _beta_cuts(a: int, b: int) -> np.ndarray:
@@ -174,16 +192,13 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     # at a2 = 1/2, w2 = 0 and the interval is empty
     if not top > 0.0:
         return 0.0
-    # log of the Beta normaliser, which overflows a float from M ~ 1,000 on
-    log_norm = -betaln(m, M - m + 1)
 
     def integrand(q: np.ndarray) -> np.ndarray:
-        log_u = np.log1p(-q)
-        xv = -rho * log_u
-        density = np.exp(log_norm + (m - 1) * np.log(q) + (M - m) * log_u)
+        xv = -rho * np.log1p(-q)
         # rounding can carry x a hair past lo, where the gap turns negative
         gap = np.maximum((w2 - xv) / (1.0 + xv) - xv, 0.0)
-        return density * bdtrc(n - m - 1, M - m, -np.expm1(-gap / rho))
+        return (_beta_pdf(q, m, M - m + 1)
+                * bdtrc(n - m - 1, M - m, -np.expm1(-gap / rho)))[:, None]
 
     # a ratio over rho may overflow to inf at extreme w2 or rho, which maps
     # to q = 1 or F = 1 as it should
@@ -200,9 +215,9 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
                                -np.expm1(-x_cuts / rho)))
         edges = np.concatenate(
             ([0.0], np.sort(cuts[(cuts > 0.0) & (cuts < top)]), [top]))
-        p4 = _integrate(integrand, edges)
+        (p4,) = _integrate(integrand, edges)
     # the integral's own error can carry it a hair past 1
-    return _clamp_probability(p4, "P(E4)")
+    return _clamp_probability(float(p4), "P(E4)")
 
 
 def event_probabilities_closed(cfg: PairingConfig, a2: float) -> EventProbabilities:

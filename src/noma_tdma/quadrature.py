@@ -9,36 +9,36 @@ For a fixed u the weak-user SNR x is fixed, so the event label along the
 s-direction changes at a handful of points only; those are located by
 bisection on the (black-box) classifier and the mass of each labelled
 segment is a difference of the Beta(s_shape) CDF `betainc`.  The outer
-u-integral against the Beta(u_shape) density is then done with adaptive
-Gauss-Legendre panels refined near the kinks the event boundaries induce.
-Its one jump, where x crosses the E1 threshold and a column goes from
-holding no E1 to being all E1, is found first and made a starting panel
-edge, since a panel's error estimate does not see a jump inside it.
+u-integral against the Beta(u_shape) density is done by
+`analytic._integrate`, the adaptive Gauss-Legendre rule of the closed-form
+P(E4) integral, with the four event masses as one vector integrand; its
+panels are refined near the kinks the event boundaries induce.  Its one
+jump, where x crosses the E1 threshold and a column goes from holding no E1
+to being all E1, is found first and made a starting panel edge, since a
+panel's error estimate does not see a jump inside it.
 
 Classifier calls: one on a u-grid to find where E1 membership changes,
 and about 12 more to bisect those changes onto adjacent floats; then per
-refinement step, all its u-columns together, one call on the (columns x
+refinement level, all its u-columns together, one call on the (columns x
 probes) grid and one call per _BISECT_LEVELS halvings over the brackets of
 all columns, until every bracket has collapsed onto adjacent floats
-(~47-52 halvings, capped at _BISECT_ITERS).  A step therefore costs about
-1 + 12 classifier calls, whatever the number of columns.
+(~47-52 halvings, capped at _BISECT_ITERS).  A level therefore costs about
+1 + 12 classifier calls, whatever the number of panels it refines.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Callable
 
 import numpy as np
-from scipy.special import betainc, betaln
+from scipy.special import betainc
 
-from .analytic import _GL_NODES, _GL_WEIGHTS
+from .analytic import _beta_pdf, _integrate
 from .events import ConvergenceError, EventProbabilities, classify_many
 from .order_stats import PairingConfig
 
 _BISECT_ITERS = 60   # cap on halvings; every bracket reaches adjacent floats first
 _BISECT_LEVELS = 4   # halvings per classifier call; divides _BISECT_ITERS
-_MAX_PANELS = 4096
 
 
 def _s_probe_grid() -> np.ndarray:
@@ -143,75 +143,17 @@ def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
     return masses
 
 
-def _gauss8(panels: list[tuple[float, float]], cfg: PairingConfig, a2: float,
-            b2: float) -> np.ndarray:
-    """8-node Gauss-Legendre estimates of u-panels (lo, hi) against the
-    Beta(u_shape) density; row j holds the 4 event masses of panels[j].  The
-    columns of all panels are computed in one batch."""
-    lo, hi = np.array(panels).T[:, :, None]
-    u = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GL_NODES
-    a, b = cfg.u_shape
-    # in logs: B(a, b) underflows from M ~ 1,000 on
-    density = np.exp((a - 1) * np.log(u) + (b - 1) * np.log1p(-u)
-                     - betaln(a, b))
-    w = 0.5 * (hi - lo) * _GL_WEIGHTS * density
-    masses = _column_masses(u.ravel(), cfg, a2, b2).reshape(*u.shape, 4)
-    return (w[:, :, None] * masses).sum(axis=1)
-
-
-def _halves(lo: float, hi: float) -> list[tuple[float, float]]:
-    mid = 0.5 * (lo + hi)
-    return [(lo, mid), (mid, hi)]
-
-
 def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.5,
                                    tol: float = 1e-6) -> EventProbabilities:
     """All four event probabilities by adaptive 2-D quadrature of the joint
     density against the classifier indicator.  Deterministic for fixed tol."""
     if not 1e-10 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 1e-10, got {tol}")
-    # adaptive bisected Gauss: error of a panel is |whole - (left + right)|,
-    # refined breadth-first by a worst-first heap with a global budget
-    heap = []
-    counter = 0  # heap tie-breaker
-
-    def push(lo: float, hi: float, whole: np.ndarray, left: np.ndarray,
-             right: np.ndarray) -> None:
-        nonlocal counter
-        err = float(np.abs(whole - (left + right)).sum())
-        counter += 1
-        heapq.heappush(heap, (-err, counter, lo, 0.5 * (lo + hi), hi, left, right))
-
-    # the starting panels, split at every jump of the E1 mass, and their
-    # halves form the first batch
+    # the 8 starting panels, split at every jump of the E1 mass
     edges = np.union1d(np.linspace(0.0, 1.0, 9), _e1_jumps(cfg, a2, b2))
-    starts = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
-    n_start = len(starts)
-    est = _gauss8(starts + [h for lo, hi in starts for h in _halves(lo, hi)],
-                  cfg, a2, b2)
-    for (lo, hi), whole, left, right in zip(starts, est[:n_start],
-                                            est[n_start::2], est[n_start + 1::2]):
-        push(lo, hi, whole, left, right)
-
-    refined = 0
-    while True:
-        total_err = -math.fsum(item[0] for item in heap)
-        if total_err <= 0.5 * tol:
-            break
-        if len(heap) >= _MAX_PANELS:
-            raise ConvergenceError(
-                f"u-panel budget {_MAX_PANELS} exhausted; residual error "
-                f"estimate {total_err:.3e} (panels refined: {refined})")
-        _, _, lo, mid, hi, left, right = heapq.heappop(heap)
-        ll, lr, rl, rr = _gauss8(_halves(lo, mid) + _halves(mid, hi),
-                                 cfg, a2, b2)
-        push(lo, mid, left, ll, lr)
-        push(mid, hi, right, rl, rr)
-        refined += 1
-
-    totals = np.zeros(4)
-    for _, _, _, _, _, left, right in heap:
-        totals += left + right
+    totals = _integrate(
+        lambda u: (_beta_pdf(u, *cfg.u_shape)[:, None]
+                   * _column_masses(u, cfg, a2, b2)), edges, tol)
     if abs(totals.sum() - 1.0) > 10.0 * tol:
         raise ConvergenceError(
             f"event masses sum to {totals.sum()}, outside 1 +/- {10 * tol}")

@@ -443,19 +443,19 @@ class TestQuadratureOracle:
     @pytest.mark.parametrize("cfg, a2, b2, tol, expect", [
         (PairingConfig(6, 2, 5, 100.0), 0.2, 0.3, 1e-5,
          ("0x1.fd94f86b66f88p-1", "0x1.358397e138c7bp-8",
-          "0x1.6466c891f5a31p-27", "0x1.779c79c78bba3p-30")),
+          "0x1.6466c891f5a5ap-27", "0x1.779c79c78bc52p-30")),
         (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
-         ("0x1.05f266cc85f7dp-4", "0x1.f59a8265934d2p-4",
-          "0x1.a07d27dbd7066p-1", "0x1.13afde5d11600p-13")),
+         ("0x1.05f266cc85f7cp-4", "0x1.f59a8265934d3p-4",
+          "0x1.a07d27dbd7064p-1", "0x1.13afde5d11600p-13")),
         (PairingConfig(20, 3, 17, 300.0), 0.1, 0.7, 1e-7,
-         ("0x1.b53dcfc8c683dp-177", "0x1.4de8633f1052cp-29",
-          "0x1.fff2de34c3918p-1", "0x1.a436cbbd08573p-14")),
+         ("0x1.b53dcfc8c683ep-177", "0x1.4de8633f10534p-29",
+          "0x1.fff2de34d69ccp-1", "0x1.a436c95b9f3abp-14")),
         (PairingConfig(10, 1, 10, RHO25), 0.3, 0.5, 1e-6,
-         ("0x1.bcde5c61fc8c2p-1", "0x1.0c868e780dcfcp-3",
+         ("0x1.bcde5c61fc8c4p-1", "0x1.0c868e780dcfcp-3",
           "0x0.0p+0", "0x0.0p+0")),
         (PairingConfig(2000, 230, 250, 10.0), 0.4, 0.5, 1e-6,
-         ("0x1.6a6b0f9958b60p-2", "0x1.f4b5c400006eep-2",
-          "0x1.41be58cd4cf54p-3", "0x1.60216c38bc53cp-123")),
+         ("0x1.6a6b0f9958b5fp-2", "0x1.f4b5c40000701p-2",
+          "0x1.41be58cd4cf2ep-3", "0x1.60216c38bc549p-123")),
     ], ids=["b2_0.3", "m4_n5_25dB", "b2_0.7_tol1e-7", "a2_0.3_m1_n10",
             "M2000"])
     def test_pinned_output(self, cfg, a2, b2, tol, expect):
@@ -464,7 +464,7 @@ class TestQuadratureOracle:
         probs = event_probabilities_quadrature(cfg, a2, b2, tol)
         assert tuple(p.hex() for p in probs.as_tuple()) == expect
 
-    def test_one_classifier_batch_per_refinement_step(self, monkeypatch):
+    def test_one_classifier_batch_per_refinement_level(self, monkeypatch):
         shapes = []
 
         def counting(x, y, *args, **kwargs):
@@ -475,25 +475,36 @@ class TestQuadratureOracle:
         cfg = PairingConfig(10, 4, 5, RHO25)
         event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25), tol=1e-6)
         # one scan call on a u-grid as long as the s-probe grid, bisection
-        # calls onto the E1 jump, then per refinement step one (columns x
+        # calls onto the E1 jump, then per refinement level one (columns x
         # probes) call and bisection calls on the brackets of all its
         # columns; each bisection call classifies the 2**L - 1 interior
         # points of the depth-L bisection tree below every bracket
         (probes,) = shapes[0]
         assert all(len(shape) == 2 for shape in shapes[1:])
-        steps = [i for i, shape in enumerate(shapes) if shape[1:] == (probes,)]
+        levels = [i for i, shape in enumerate(shapes)
+                  if shape[1:] == (probes,)]
         (width,) = {shape[1] for shape in shapes[1:] if shape[1] != probes}
-        levels = (width + 1).bit_length() - 1
-        assert 2**levels == width + 1 and levels >= 2
+        depth = (width + 1).bit_length() - 1
+        assert 2**depth == width + 1 and depth >= 2
         # the 60-halving cap is never reached: every bracket collapses onto
         # adjacent floats first
-        assert 1 <= steps[0] - 1 <= math.ceil(60 / levels)
-        bisect_calls = np.diff(steps + [len(shapes)]) - 1
-        assert all(1 <= c < math.ceil(60 / levels) for c in bisect_calls)
+        assert 1 <= levels[0] - 1 <= math.ceil(60 / depth)
+        bisect_calls = np.diff(levels + [len(shapes)]) - 1
+        assert all(1 <= c < math.ceil(60 / depth) for c in bisect_calls)
         # the 8 starting panels, split at the one jump, and their 18 halves
-        # (8 nodes each) make the first step; each refined panel then adds
-        # its 4 quarters; 3 are refined
-        assert [shapes[i][0] for i in steps] == [216] + [32] * 3
+        # (8 nodes each) make the first level; each panel refined at a level
+        # then adds its 4 quarters to the next; one is refined at each of 3
+        assert [shapes[i][0] for i in levels] == [216] + [32] * 3
+
+    def test_all_four_events_within_tol_of_closed_forms(self):
+        # a stop on the error summed over all panels alone can leave
+        # P(E3)/P(E4) 2e-6 off here
+        rho = 100.0
+        cfg = PairingConfig(10, 5, 6, rho)
+        a2 = 1.0 / math.sqrt(rho)
+        quad = event_probabilities_quadrature(cfg, a2, tol=1e-6)
+        closed = event_probabilities_closed(cfg, a2)
+        assert quad.as_tuple() == pytest.approx(closed.as_tuple(), abs=1e-6)
 
     def test_large_population(self):
         # the Beta(u_shape) normaliser underflows and w1 overflows a float at
@@ -511,10 +522,11 @@ class TestQuadratureOracle:
                 event_probabilities_quadrature(cfg, 0.2, tol=tol)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        # the budget runs out during refinement, not at the start
-        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        # the budget it shares with the P(E4) integral runs out during
+        # refinement, not at the start
+        monkeypatch.setattr(analytic, "_QUAD_LEVELS", 8)
         cfg = PairingConfig(10, 4, 5, RHO25)
-        with pytest.raises(ConvergenceError, match=r"panels refined: [1-9]"):
+        with pytest.raises(ConvergenceError, match="residual error estimate"):
             event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25),
                                            tol=1e-9)
 

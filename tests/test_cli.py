@@ -388,12 +388,13 @@ class TestPublicApi:
             noma_tdma.no_such_name
 
     def test_quadrature_convergence_error_exits_3(self, monkeypatch, capsys):
-        # the budget runs out during refinement, not at the start
-        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        # the shared budget runs out during refinement, not at the start
+        from noma_tdma import analytic
+        monkeypatch.setattr(analytic, "_QUAD_LEVELS", 8)
         rc = main(["events", "--m", "4", "--n", "5", "--method",
                    "quadrature", "--quad-tol", "1e-9"])
         assert rc == EXIT_NO_CONVERGENCE
-        assert "panels refined" in capsys.readouterr().err
+        assert "residual error estimate" in capsys.readouterr().err
 
     def test_validate_suite_names(self):
         from noma_tdma import validation
