@@ -17,13 +17,25 @@ jump, where x crosses the E1 threshold and a column goes from holding no E1
 to being all E1, is found first and made a starting panel edge, since a
 panel's error estimate does not see a jump inside it.
 
+Each cut is bisected only as far as the tol needs.  A cut is left at the
+midpoint of its bracket, and a bracket of width w moves at most peak * w of
+L1 mass in its column, where peak is the largest value of the Beta density
+along the bisected direction.  So the brackets of a refinement level stop
+at _CUT_SHARE * tol / (c * peak of Beta(s_shape)), with c the most cuts in
+one of its columns, and the E1 jumps at _CUT_SHARE * tol / (jumps * peak
+of Beta(u_shape)); as the u-weights integrate to 1, cut placement adds at
+most _CUT_SHARE * tol to the summed error, and the u-integral is run at
+the remaining (1 - _CUT_SHARE) * tol.  A bracket that reaches adjacent
+floats first stops there.
+
 Classifier calls: one on a u-grid to find where E1 membership changes,
-and about 12 more to bisect those changes onto adjacent floats; then per
-refinement level, all its u-columns together, one call on the (columns x
-probes) grid and one call per _BISECT_LEVELS halvings over the brackets of
-all columns, until every bracket has collapsed onto adjacent floats
-(~47-52 halvings, capped at _BISECT_ITERS).  A level therefore costs about
-1 + 12 classifier calls, whatever the number of panels it refines.
+and about 6 more to bisect those changes; then per refinement level, all
+its u-columns together, one call on the (columns x probes) grid and one
+call per _BISECT_LEVELS halvings over the brackets of all columns, until
+every bracket is within its stop (~24-28 halvings at tol 1e-6).  A level
+therefore costs about 1 + 7 classifier calls, whatever the number of
+panels it refines.  A bracket still open after _BISECT_ITERS halvings
+raises ConvergenceError.
 """
 from __future__ import annotations
 
@@ -37,8 +49,11 @@ from .analytic import _beta_pdf, _integrate
 from .events import ConvergenceError, EventProbabilities, classify_many
 from .order_stats import PairingConfig
 
-_BISECT_ITERS = 60   # cap on halvings; every bracket reaches adjacent floats first
+_BISECT_ITERS = 60   # cap on halvings; every bracket reaches its stop first
 _BISECT_LEVELS = 4   # halvings per classifier call; divides _BISECT_ITERS
+
+#: share of the tol spent on placing cuts; the u-integral gets the rest
+_CUT_SHARE = 1.0 / 100
 
 
 def _s_probe_grid() -> np.ndarray:
@@ -53,20 +68,36 @@ def _s_probe_grid() -> np.ndarray:
 _SPROBES = _s_probe_grid()
 
 
+def _beta_peak(a: int, b: int) -> float:
+    """The largest value of the Beta(a, b) density, a, b >= 1."""
+    if a == 1:
+        return float(b)
+    if b == 1:
+        return float(a)
+    return float(_beta_pdf(np.array([(a - 1) / (a + b - 2)]), a, b)[0])
+
+
 def _bisect(lo: np.ndarray, hi: np.ndarray, left_label: np.ndarray,
-            label: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Bisect every bracket (lo, hi) on its label change; lo keeps
-    left_label.  `label` maps a (brackets x points) array to its labels, one
-    row per bracket.  One call labels the depth-_BISECT_LEVELS bisection
-    tree below each bracket, which is then walked level by level
-    (label(mid) == left_label -> lo = mid), so the points visited and the
-    cuts returned are those of one halving per call."""
+            label: Callable[[np.ndarray], np.ndarray],
+            stop: float) -> np.ndarray:
+    """Bisect every bracket (lo, hi) on its label change until each is no
+    wider than stop or sits on adjacent floats, and return their midpoints;
+    lo keeps left_label.
+    `label` maps a (brackets x points) array to its labels, one row per
+    bracket.  One call labels the depth-_BISECT_LEVELS bisection tree below
+    each bracket, which is then walked level by level (label(mid) ==
+    left_label -> lo = mid), so the points visited and the cuts returned
+    are those of one halving per call.  Raises ConvergenceError if a
+    bracket is still open after _BISECT_ITERS halvings."""
     rows = np.arange(lo.size)
     width = 2**_BISECT_LEVELS
-    for _ in range(_BISECT_ITERS // _BISECT_LEVELS):
+    calls = _BISECT_ITERS // _BISECT_LEVELS
+    for call in range(calls + 1):
         mid = 0.5 * (lo + hi)
-        # a bracket between adjacent floats no longer moves
-        if ((mid == lo) | (mid == hi)).all():
+        # a bracket between adjacent floats no longer moves, whatever stop
+        if ((hi - lo <= stop) | (mid == lo) | (mid == hi)).all():
+            return mid
+        if call == calls:
             break
         tree = np.empty((lo.size, width + 1))
         tree[:, 0] = lo
@@ -84,17 +115,20 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, left_label: np.ndarray,
             half //= 2
         lo = tree[rows, left]
         hi = tree[rows, left + 1]
-    return 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"bisection cap of {_BISECT_ITERS} halvings reached with a bracket "
+        f"{float((hi - lo).max()):.3e} wide, above its stop {stop:.3e}")
 
 
-def _e1_jumps(cfg: PairingConfig, a2: float, b2: float) -> np.ndarray:
+def _e1_jumps(cfg: PairingConfig, a2: float, b2: float,
+              cut_tol: float) -> np.ndarray:
     """The u at which a column starts or stops holding E1.
 
     E1 (R1N < R1T) is decided by x alone, so a u-column is either all E1
     or holds none, and its E1 mass jumps where membership changes; the
     other events only change through kinks.  Membership is read at s = 1/2
-    on the u-grid _SPROBES, and each change is bisected onto adjacent
-    floats."""
+    on the u-grid _SPROBES, and each change is bisected until the jumps
+    together move at most cut_tol of L1 mass."""
     rho = cfg.rho
 
     def holds_e1(u: np.ndarray) -> np.ndarray:
@@ -104,13 +138,15 @@ def _e1_jumps(cfg: PairingConfig, a2: float, b2: float) -> np.ndarray:
     u = _SPROBES
     e1 = holds_e1(u)
     k = np.flatnonzero(e1[1:] != e1[:-1])
-    return _bisect(u[k], u[k + 1], e1[k], holds_e1)
+    stop = cut_tol / (max(k.size, 1) * _beta_peak(*cfg.u_shape))
+    return _bisect(u[k], u[k + 1], e1[k], holds_e1, stop)
 
 
 def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
-                   b2: float) -> np.ndarray:
+                   b2: float, cut_tol: float) -> np.ndarray:
     """Row c is the Beta(s_shape) mass of each event's share of s in (0,1)
-    at u = us[c]; shape (len(us), 4)."""
+    at u = us[c], its cuts placed to within cut_tol of L1 mass; shape
+    (len(us), 4)."""
     rho = cfg.rho
     x = -rho * np.log(us)
 
@@ -120,13 +156,15 @@ def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
     # brackets ordered by column, then by s within a column
     col, k = np.nonzero(labels[:, 1:] != labels[:, :-1])
     left_label = labels[col, k]
-    xb = x[col, None]
-    cuts = _bisect(s[k], s[k + 1], left_label,
-                   lambda sb: classify_many(xb, xb - rho * np.log(sb), a2, b2))
-
     # column c splits (0,1) into one more segment than it has cuts; the i-th
     # cut (in column col[i]) closes segment i + col[i] and opens the next
     n_seg = np.bincount(col, minlength=x.size) + 1
+    stop = cut_tol / (max(n_seg.max() - 1, 1) * _beta_peak(*cfg.s_shape))
+    xb = x[col, None]
+    cuts = _bisect(s[k], s[k + 1], left_label,
+                   lambda sb: classify_many(xb, xb - rho * np.log(sb), a2, b2),
+                   stop)
+
     seg_col = np.repeat(np.arange(x.size), n_seg)
     closes = np.arange(col.size) + col
     cdf = betainc(*cfg.s_shape, cuts)
@@ -149,11 +187,14 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
     density against the classifier indicator.  Deterministic for fixed tol."""
     if not 1e-10 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 1e-10, got {tol}")
+    cut_tol = _CUT_SHARE * tol
     # the 8 starting panels, split at every jump of the E1 mass
-    edges = np.union1d(np.linspace(0.0, 1.0, 9), _e1_jumps(cfg, a2, b2))
+    edges = np.union1d(np.linspace(0.0, 1.0, 9),
+                       _e1_jumps(cfg, a2, b2, cut_tol))
     totals = _integrate(
         lambda u: (_beta_pdf(u, *cfg.u_shape)[:, None]
-                   * _column_masses(u, cfg, a2, b2)), edges, tol)
+                   * _column_masses(u, cfg, a2, b2, cut_tol)),
+        edges, (1.0 - _CUT_SHARE) * tol)
     if abs(totals.sum() - 1.0) > 10.0 * tol:
         raise ConvergenceError(
             f"event masses sum to {totals.sum()}, outside 1 +/- {10 * tol}")

@@ -407,6 +407,27 @@ def test_small_probabilities_keep_relative_accuracy(M, m, n, rho_db, a2):
     assert probs.p3 == pytest.approx(expect[2], rel=1e-10, abs=0.0)
 
 
+_QUAD_PINS = [
+    (PairingConfig(6, 2, 5, 100.0), 0.2, 0.3, 1e-5,
+     ("0x1.fd94f86b66f88p-1", "0x1.358397e138c7bp-8",
+      "0x1.6466c891f5a5ap-27", "0x1.779c79c78bc52p-30")),
+    (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
+     ("0x1.05f266cc85f7cp-4", "0x1.f59a8265934d3p-4",
+      "0x1.a07d27dbd7064p-1", "0x1.13afde5d11600p-13")),
+    (PairingConfig(20, 3, 17, 300.0), 0.1, 0.7, 1e-7,
+     ("0x1.b53dcfc8c683ep-177", "0x1.4de8633f10534p-29",
+      "0x1.fff2de34d69ccp-1", "0x1.a436c95b9f3abp-14")),
+    (PairingConfig(10, 1, 10, RHO25), 0.3, 0.5, 1e-6,
+     ("0x1.bcde5c61fc8c4p-1", "0x1.0c868e780dcfcp-3",
+      "0x0.0p+0", "0x0.0p+0")),
+    (PairingConfig(2000, 230, 250, 10.0), 0.4, 0.5, 1e-6,
+     ("0x1.6a6b0f9958b5fp-2", "0x1.f4b5c40000701p-2",
+      "0x1.41be58cd4cf2ep-3", "0x1.60216c38bc549p-123")),
+]
+_QUAD_PIN_IDS = ["b2_0.3", "m4_n5_25dB", "b2_0.7_tol1e-7", "a2_0.3_m1_n10",
+                 "M2000"]
+
+
 class TestQuadratureOracle:
     def test_partition_of_unity(self):
         cfg = PairingConfig(10, 2, 7, RHO25)
@@ -440,29 +461,26 @@ class TestQuadratureOracle:
         assert math.fsum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-4)
         assert all(0.0 <= p <= 1.0 for p in probs.as_tuple())
 
-    @pytest.mark.parametrize("cfg, a2, b2, tol, expect", [
-        (PairingConfig(6, 2, 5, 100.0), 0.2, 0.3, 1e-5,
-         ("0x1.fd94f86b66f88p-1", "0x1.358397e138c7bp-8",
-          "0x1.6466c891f5a5ap-27", "0x1.779c79c78bc52p-30")),
-        (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
-         ("0x1.05f266cc85f7cp-4", "0x1.f59a8265934d3p-4",
-          "0x1.a07d27dbd7064p-1", "0x1.13afde5d11600p-13")),
-        (PairingConfig(20, 3, 17, 300.0), 0.1, 0.7, 1e-7,
-         ("0x1.b53dcfc8c683ep-177", "0x1.4de8633f10534p-29",
-          "0x1.fff2de34d69ccp-1", "0x1.a436c95b9f3abp-14")),
-        (PairingConfig(10, 1, 10, RHO25), 0.3, 0.5, 1e-6,
-         ("0x1.bcde5c61fc8c4p-1", "0x1.0c868e780dcfcp-3",
-          "0x0.0p+0", "0x0.0p+0")),
-        (PairingConfig(2000, 230, 250, 10.0), 0.4, 0.5, 1e-6,
-         ("0x1.6a6b0f9958b5fp-2", "0x1.f4b5c40000701p-2",
-          "0x1.41be58cd4cf2ep-3", "0x1.60216c38bc549p-123")),
-    ], ids=["b2_0.3", "m4_n5_25dB", "b2_0.7_tol1e-7", "a2_0.3_m1_n10",
-            "M2000"])
-    def test_pinned_output(self, cfg, a2, b2, tol, expect):
-        # exact values: any change to the panels refined, their order or the
-        # per-node arithmetic moves the last bits
+    @pytest.mark.parametrize("cfg, a2, b2, tol, expect", _QUAD_PINS,
+                             ids=_QUAD_PIN_IDS)
+    def test_pinned_output(self, cfg, a2, b2, tol, expect, monkeypatch):
+        # exact values with every cut bisected onto adjacent floats: any
+        # change to the panels refined, their order or the per-node
+        # arithmetic moves the last bits
+        monkeypatch.setattr(quadrature, "_CUT_SHARE", 0.0)
         probs = event_probabilities_quadrature(cfg, a2, b2, tol)
         assert tuple(p.hex() for p in probs.as_tuple()) == expect
+
+    @pytest.mark.parametrize("cfg, a2, b2, tol, expect", _QUAD_PINS,
+                             ids=_QUAD_PIN_IDS)
+    def test_cut_share_moves_output_within_its_share(self, cfg, a2, b2, tol,
+                                                     expect):
+        # cuts bisected only as far as the tol needs move each probability
+        # by at most their share of it
+        probs = event_probabilities_quadrature(cfg, a2, b2, tol)
+        exact = [float.fromhex(p) for p in expect]
+        assert probs.as_tuple() == pytest.approx(
+            exact, rel=0.0, abs=quadrature._CUT_SHARE * tol)
 
     def test_one_classifier_batch_per_refinement_level(self, monkeypatch):
         shapes = []
@@ -486,15 +504,24 @@ class TestQuadratureOracle:
         (width,) = {shape[1] for shape in shapes[1:] if shape[1] != probes}
         depth = (width + 1).bit_length() - 1
         assert 2**depth == width + 1 and depth >= 2
-        # the 60-halving cap is never reached: every bracket collapses onto
-        # adjacent floats first
-        assert 1 <= levels[0] - 1 <= math.ceil(60 / depth)
-        bisect_calls = np.diff(levels + [len(shapes)]) - 1
-        assert all(1 <= c < math.ceil(60 / depth) for c in bisect_calls)
+        assert levels[0] >= 2
+        assert all(c >= 1 for c in np.diff(levels + [len(shapes)]) - 1)
         # the 8 starting panels, split at the one jump, and their 18 halves
         # (8 nodes each) make the first level; each panel refined at a level
         # then adds its 4 quarters to the next; one is refined at each of 3
         assert [shapes[i][0] for i in levels] == [216] + [32] * 3
+        # bisected only as far as the tol needs, not onto adjacent floats
+        # (65 calls)
+        assert len(shapes) <= 40
+
+    def test_bisection_cap_raises(self, monkeypatch):
+        # one call of 4 halvings leaves the brackets ~1/1024 wide, far
+        # above their stop
+        monkeypatch.setattr(quadrature, "_BISECT_ITERS", 4)
+        cfg = PairingConfig(10, 4, 5, RHO25)
+        with pytest.raises(ConvergenceError, match="bisection cap"):
+            event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25),
+                                           tol=1e-6)
 
     def test_all_four_events_within_tol_of_closed_forms(self):
         # a stop on the error summed over all panels alone can leave

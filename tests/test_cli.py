@@ -396,6 +396,13 @@ class TestPublicApi:
         assert rc == EXIT_NO_CONVERGENCE
         assert "residual error estimate" in capsys.readouterr().err
 
+    def test_quadrature_bisection_cap_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(quadrature, "_BISECT_ITERS", 4)
+        rc = main(["events", "--m", "4", "--n", "5", "--method",
+                   "quadrature"])
+        assert rc == EXIT_NO_CONVERGENCE
+        assert "bisection cap" in capsys.readouterr().err
+
     def test_validate_suite_names(self):
         from noma_tdma import validation
         assert VALIDATE_SUITES == tuple(validation.SUITES)
