@@ -17,11 +17,11 @@ import math
 from collections.abc import Callable
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, betaln
+from scipy.special import bdtr, bdtrc
 
 from .events import (CLAMP_TOL, ConvergenceError, EventProbabilities,
                      InconsistencyError, e2_threshold)
-from .order_stats import PairingConfig
+from .order_stats import PairingConfig, _beta_cuts, beta_logpdf
 
 #: absolute tolerance of the 1-D P(E4) integral
 QUAD_TOL = 1e-12
@@ -44,11 +44,10 @@ _QUAD_LEVELS = 40
 _QUAD_PANELS = 1024
 
 # Starting panels of the P(E4) integral end where its integrand can hold
-# features narrower than a long panel's node spacing: 0, 1, 3, 7 and 31 sd
-# from the mean of a Beta law (beyond 31 sd lies < 1e-13 of its mass);
-# 1 + x = (1 + lo)^(1/4, 1/2, 3/4), over which P(E4 | x) can decay as a
-# power of 1 + x; and x = rho * 2^k up to 16 rho, where q crowds toward 1
-_SD_STEPS = np.array([-31.0, -7.0, -3.0, -1.0, 0.0, 1.0, 3.0, 7.0, 31.0])
+# features narrower than a long panel's node spacing: at the
+# `order_stats._beta_cuts` of its two Beta laws; at 1 + x = (1 + lo)^(1/4,
+# 1/2, 3/4), over which P(E4 | x) can decay as a power of 1 + x; and at
+# x = rho * 2^k up to 16 rho, where q crowds toward 1
 _LO_STEPS = np.array([0.25, 0.5, 0.75])
 _RHO_STEPS = 2.0 ** np.arange(5.0)
 
@@ -102,12 +101,6 @@ def p_eps2_closed(cfg: PairingConfig, a2: float) -> float:
 def strong_user_tail(cfg: PairingConfig, a2: float) -> float:
     """P(y > w2) = P(K <= n-1): fewer than n of the M gains lie below w2."""
     return float(bdtr(cfg.n - 1, cfg.M, _threshold_cdf(cfg, a2)))
-
-
-def _beta_pdf(t: np.ndarray, a: float, b: float) -> np.ndarray:
-    """The Beta(a, b) density at t in (0, 1), in logs: B(a, b) underflows
-    a float from a + b ~ 1,000 on."""
-    return np.exp(-betaln(a, b) + (a - 1) * np.log(t) + (b - 1) * np.log1p(-t))
 
 
 def _panel_estimates(fx: np.ndarray, width: np.ndarray,
@@ -166,13 +159,6 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
         f"tolerance {tol}")
 
 
-def _beta_cuts(a: int, b: int) -> np.ndarray:
-    """The points _SD_STEPS standard deviations from the mean of a Beta(a, b)
-    law."""
-    mean = a / (a + b)
-    return mean + math.sqrt(mean * (1.0 - mean) / (a + b + 1)) * _SD_STEPS
-
-
 def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     """P(E4) = P(sum_N < sum_T): TDMA beats NOMA on the sum rate.
 
@@ -180,8 +166,9 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     y < g(x) = (w2 - x)/(1 + x).  Given x, y - x is the (n-m)-th smallest of
     M-m i.i.d. gains (memoryless), so P(E4 | x) = P(K' >= n-m) for
     K' ~ Binomial(M-m, F(g(x) - x)), and P(E4) = int_0^lo f_m(x) P(E4 | x) dx.
-    The integral runs over q = F(x), where f_m is the Beta(m, M-m+1)
-    density, so its nodes see the mass of x however far lo lies beyond it.
+    The integral runs over q = F(x) = 1 - u, where f_m is the `beta_logpdf`
+    of u_shape[::-1], so its nodes see the mass of x however far lo lies
+    beyond it.
     """
     M, m, n, rho = cfg.M, cfg.m, cfg.n, cfg.rho
     w2 = e2_threshold(a2)
@@ -194,24 +181,25 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
         return 0.0
 
     def integrand(q: np.ndarray) -> np.ndarray:
-        xv = -rho * np.log1p(-q)
+        log_1mq = np.log1p(-q)
+        xv = -rho * log_1mq
         # rounding can carry x a hair past lo, where the gap turns negative
         gap = np.maximum((w2 - xv) / (1.0 + xv) - xv, 0.0)
-        return (_beta_pdf(q, m, M - m + 1)
-                * bdtrc(n - m - 1, M - m, -np.expm1(-gap / rho)))[:, None]
+        dens = np.exp(beta_logpdf(np.log(q), log_1mq, cfg.u_shape[::-1]))
+        return (dens * bdtrc(n - m - 1, M - m, -np.expm1(-gap / rho)))[:, None]
 
     # a ratio over rho may overflow to inf at extreme w2 or rho, which maps
     # to q = 1 or F = 1 as it should
     with np.errstate(over="ignore"):
-        # the integrand is the Beta(m, M-m+1) density of q times P(E4 | x),
-        # the Beta(n-m, M-n+1) CDF at p = F(g(x) - x); the cuts of the latter
-        # are mapped back to q through the root x of g(x) - x = -rho*log(1-p)
-        p = _beta_cuts(n - m, M - n + 1)
+        # the integrand is the Beta(u_shape[::-1]) density of q times P(E4 |
+        # x), the Beta(s_shape[::-1]) CDF at p = F(g(x) - x), whose cuts map
+        # back to q through the root x of g(x) - x = -rho*log(1-p)
+        p = _beta_cuts(*cfg.s_shape[::-1])
         gap = -rho * np.log1p(-p[p < 1.0])
         x_cuts = np.concatenate((
             0.5 * (np.sqrt(gap**2 + 4.0 * (1.0 + w2)) - (2.0 + gap)),
             np.expm1(math.log1p(lo) * _LO_STEPS), rho * _RHO_STEPS))
-        cuts = np.concatenate((_beta_cuts(m, M - m + 1),
+        cuts = np.concatenate((_beta_cuts(*cfg.u_shape[::-1]),
                                -np.expm1(-x_cuts / rho)))
         edges = np.concatenate(
             ([0.0], np.sort(cuts[(cuts > 0.0) & (cuts < top)]), [top]))

@@ -247,6 +247,17 @@ def _add_mc_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--shards", type=int, default=1)
 
 
+def _add_solver_args(sp: argparse.ArgumentParser, method_default: str) -> None:
+    """The operating point and the solver options of `events` and `sweep-n`."""
+    sp.add_argument("--rho-db", type=float, default=25.0)
+    sp.add_argument("--a2-mode", default="inv_sqrt_rho")
+    sp.add_argument("--b2", type=float, default=0.5)
+    sp.add_argument("--method", choices=["closed", "quadrature", "mc", "all"],
+                    default=method_default)
+    sp.add_argument("--quad-tol", type=float, default=1e-6)
+    _add_mc_args(sp)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noma-tdma",
@@ -268,26 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--M", type=int, default=10)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--rho-db", type=float, default=25.0)
-    sp.add_argument("--a2-mode", default="inv_sqrt_rho")
-    sp.add_argument("--b2", type=float, default=0.5)
-    sp.add_argument("--method", choices=["closed", "quadrature", "mc", "all"],
-                    default="all")
-    sp.add_argument("--quad-tol", type=float, default=1e-6)
-    _add_mc_args(sp)
+    _add_solver_args(sp, "all")
     _add_output_args(sp)
     sp.set_defaults(func=cmd_events)
 
     sp = sub.add_parser("sweep-n", help="P(E2) as a function of n")
     sp.add_argument("--M", type=int, default=10)
     sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--rho-db", type=float, default=25.0)
-    sp.add_argument("--a2-mode", default="inv_sqrt_rho")
-    sp.add_argument("--b2", type=float, default=0.5)
-    sp.add_argument("--method", choices=["closed", "quadrature", "mc", "all"],
-                    default="closed")
-    sp.add_argument("--quad-tol", type=float, default=1e-6)
-    _add_mc_args(sp)
+    _add_solver_args(sp, "closed")
     _add_output_args(sp)
     sp.set_defaults(func=cmd_sweep_n)
 

@@ -28,9 +28,6 @@ BLOCK_SIZE = 1 << 16
 #: a fresh 2,097,152-trial events solve took ~30k minor faults, not ~450
 CHUNK = 1 << 13
 
-#: environment variable capping the number of worker threads
-WORKERS_ENV = "NOMA_TDMA_MAX_WORKERS"
-
 #: identifier of the RNG scheme, recorded in run manifests
 RNG_SCHEME = "philox4x64-jumped-blocks-v3"
 
@@ -76,14 +73,6 @@ def _blocks(trials: int) -> list[tuple[int, int]]:
     return out
 
 
-def _n_workers(mc: McConfig) -> int:
-    cap = os.environ.get(WORKERS_ENV)
-    workers = mc.shards
-    if cap is not None:
-        workers = min(workers, max(1, int(cap)))
-    return workers
-
-
 @functools.lru_cache(maxsize=None)
 def _pool(workers: int) -> ThreadPoolExecutor:
     """Kept for the process, so each worker keeps its malloc arena: a pool
@@ -100,13 +89,14 @@ def _chunks(count: int):
 def _run_blocks(fn, mc: McConfig, rows: int) -> list:
     """Run fn(block_index, count, buf) over all blocks; results in block order.
 
-    Lane i of min(workers, blocks) runs blocks i, i + lanes, ... and hands
-    each the same (rows, block width) float64 buffer, allocated once per
-    lane: a fresh ~0.5 MB temporary per block is returned to the OS when
+    Lane i of min(mc.shards, CPUs, blocks) runs blocks i, i + lanes, ... and
+    hands each the same (rows, block width) float64 buffer, allocated once
+    per lane: a fresh ~0.5 MB temporary per block is returned to the OS when
     freed, and every block then page-faults it back in.
     """
     blocks = _blocks(mc.trials)
-    workers = _n_workers(mc)
+    # threads beyond the CPUs add no speed, only stacks and lane buffers
+    workers = min(mc.shards, os.cpu_count() or 1)
     lanes = min(workers, len(blocks))
 
     def lane(i: int) -> list:

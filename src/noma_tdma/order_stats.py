@@ -41,33 +41,54 @@ class PairingConfig:
         return self.M - self.n + 1, self.n - self.m
 
 
+#: panel edges over a Beta law in sd from its mean; 31 sd hold all but 1e-13
+_SD_STEPS = np.array([-31.0, -7.0, -3.0, -1.0, 0.0, 1.0, 3.0, 7.0, 31.0])
+
+
+def _beta_cuts(a: int, b: int) -> np.ndarray:
+    """The points _SD_STEPS sd from the mean of the Beta(a, b) law."""
+    mean = a / (a + b)
+    return mean + math.sqrt(mean * (1.0 - mean) / (a + b + 1)) * _SD_STEPS
+
+
+def beta_logpdf(log_t, log_1mt, shape: tuple[int, int]):
+    """-log B(a, b) + (a-1) log t + (b-1) log(1-t), the log of the
+    Beta(a, b) = `shape` density at t, from log t and log(1-t) as the caller
+    computes them best; 1/B(a, b) overflows a float from a + b ~ 1,000 on.
+    A term whose exponent is 0 is left out: 0 log 0 = 0 at t = 0 or 1."""
+    # imported here, so that the sampler, all Monte Carlo needs, is numpy only
+    from scipy.special import betaln
+    a, b = shape
+    out = -betaln(a, b)
+    if a != 1:
+        out = out + (a - 1) * log_t
+    if b != 1:
+        out = out + (b - 1) * log_1mt
+    return out
+
+
 def joint_pdf(x, y, cfg: PairingConfig):
     """Joint density of the paired order statistics at (x, y); zero for x >= y.
 
     With u = exp(-x/rho) ~ Beta(cfg.u_shape) and s = exp(-(y-x)/rho) ~
     Beta(cfg.s_shape) independent (Renyi 1953), and dx dy = rho^2/(u s) du ds,
-
-        f(x, y) = u^a_u (1-u)^(b_u-1) s^a_s (1-s)^(b_s-1)
-                  / (rho^2 B(u_shape) B(s_shape))
-
-    evaluated in logs, since 1/(B(u_shape) B(s_shape)) overflows a float
-    from M ~ 640 on.  Accepts scalars or arrays.
+    f(x, y) is the product of the two Beta densities times u s / rho^2,
+    evaluated in logs by `beta_logpdf`.  Accepts scalars or arrays.
     """
-    # imported here, so that the sampler, all Monte Carlo needs, is numpy only
-    from scipy.special import betaln, xlogy
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     # written so that NaN fails the check
     if not ((x > 0.0).all() and (y > 0.0).all()):
         raise ValueError("SNR arguments must be positive")
-    (a_u, b_u), (a_s, b_s) = cfg.u_shape, cfg.s_shape
     rho = cfg.rho
     # clipped where x >= y; those rows are zeroed below
-    d = np.maximum(y - x, 0.0)
-    log_dens = (-betaln(a_u, b_u) - betaln(a_s, b_s) - 2.0 * math.log(rho)
-                - (a_u * x + a_s * d) / rho
-                + xlogy(b_u - 1, -np.expm1(-x / rho))
-                + xlogy(b_s - 1, -np.expm1(-d / rho)))
+    log_u, log_s = -x / rho, -np.maximum(y - x, 0.0) / rho
+    # log(1-u) by expm1, as u rounds off a small x/rho; log 0 = -inf is fine
+    with np.errstate(divide="ignore"):
+        log_1mu, log_1ms = np.log(-np.expm1(log_u)), np.log(-np.expm1(log_s))
+    log_dens = (beta_logpdf(log_u, log_1mu, cfg.u_shape)
+                + beta_logpdf(log_s, log_1ms, cfg.s_shape)
+                + log_u + log_s - 2.0 * math.log(rho))
     out = np.where(x < y, np.exp(log_dens), 0.0)
     return float(out) if out.ndim == 0 else out
 

@@ -9,13 +9,13 @@ For a fixed u the weak-user SNR x is fixed, so the event label along the
 s-direction changes at a handful of points only; those are located by
 bisection on the (black-box) classifier and the mass of each labelled
 segment is a difference of the Beta(s_shape) CDF `betainc`.  The outer
-u-integral against the Beta(u_shape) density is done by
-`analytic._integrate`, the adaptive Gauss-Legendre rule of the closed-form
-P(E4) integral, with the four event masses as one vector integrand; its
-panels are refined near the kinks the event boundaries induce.  Its one
-jump, where x crosses the E1 threshold and a column goes from holding no E1
-to being all E1, is found first and made a starting panel edge, since a
-panel's error estimate does not see a jump inside it.
+u-integral against the Beta(u_shape) density, `order_stats.beta_logpdf`,
+is done by `analytic._integrate`, the adaptive Gauss-Legendre rule of the
+closed-form P(E4) integral, with the four event masses as one vector
+integrand; its panels are refined near the kinks the event boundaries
+induce.  Its one jump, where x crosses the E1 threshold and a column goes
+from holding no E1 to being all E1, is found first and made a starting
+panel edge, since a panel's error estimate does not see a jump inside it.
 
 Each cut is bisected only as far as the tol needs.  A cut is left at the
 midpoint of its bracket, and a bracket of width w moves at most peak * w of
@@ -45,9 +45,9 @@ from collections.abc import Callable
 import numpy as np
 from scipy.special import betainc
 
-from .analytic import _beta_pdf, _integrate
+from .analytic import _integrate
 from .events import ConvergenceError, EventProbabilities, classify_many
-from .order_stats import PairingConfig
+from .order_stats import PairingConfig, beta_logpdf
 
 _BISECT_ITERS = 60   # cap on halvings; every bracket reaches its stop first
 _BISECT_LEVELS = 4   # halvings per classifier call; divides _BISECT_ITERS
@@ -74,7 +74,8 @@ def _beta_peak(a: int, b: int) -> float:
         return float(b)
     if b == 1:
         return float(a)
-    return float(_beta_pdf(np.array([(a - 1) / (a + b - 2)]), a, b)[0])
+    mode = (a - 1) / (a + b - 2)
+    return float(np.exp(beta_logpdf(np.log(mode), np.log1p(-mode), (a, b))))
 
 
 def _bisect(lo: np.ndarray, hi: np.ndarray, left_label: np.ndarray,
@@ -192,8 +193,8 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
     edges = np.union1d(np.linspace(0.0, 1.0, 9),
                        _e1_jumps(cfg, a2, b2, cut_tol))
     totals = _integrate(
-        lambda u: (_beta_pdf(u, *cfg.u_shape)[:, None]
-                   * _column_masses(u, cfg, a2, b2, cut_tol)),
+        lambda u: (np.exp(beta_logpdf(np.log(u), np.log1p(-u), cfg.u_shape))
+                   [:, None] * _column_masses(u, cfg, a2, b2, cut_tol)),
         edges, (1.0 - _CUT_SHARE) * tol)
     if abs(totals.sum() - 1.0) > 10.0 * tol:
         raise ConvergenceError(

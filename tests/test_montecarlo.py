@@ -84,6 +84,23 @@ class TestEventEstimates:
         assert 1 <= len(first) <= 2
         assert set(threads) <= first
 
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_threads_capped_at_the_cpu_count(self, monkeypatch, cpus):
+        # one CPU (or an unknown count) runs every block on the calling
+        # thread, whatever --shards asks for
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return sample_pairs(*args)
+
+        monkeypatch.setattr(montecarlo, "sample_pairs", recording)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        estimate_event_probs(CFG, A2, 0.5, McConfig(trials=2 * BLOCK_SIZE,
+                                                    seed=7, shards=2))
+        assert len(threads) == 2
+        assert set(threads) == {threading.main_thread()}
+
     def test_single_trial_matches_direct_draw(self):
         est = estimate_event_probs(CFG, A2, 0.5, McConfig(trials=1, seed=3))
         # block 0 of seed 3 draws from the documented stream
@@ -141,8 +158,8 @@ class TestLanesAndChunks:
     @pytest.mark.parametrize("cfg", [CFG, PairingConfig(200, 1, 200, RHO25)],
                              ids=["sums", "gamma"])
     def test_bit_identical_to_plain_definition(self, cfg, trials, shards):
-        # 1,000 trials is below CHUNK; with 5 shards there are more lanes
-        # than the 4 blocks
+        # 1,000 trials is below CHUNK; 5 shards ask for more lanes than the
+        # 4 blocks
         mc = McConfig(trials=trials, seed=21, shards=shards)
         events, rates = _plain_estimates(cfg, A2, 0.5, trials, mc.seed)
         est = estimate_event_probs(cfg, A2, 0.5, mc)

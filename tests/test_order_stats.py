@@ -43,7 +43,7 @@ class TestPairingConfig:
         f = lambda t: math.exp(-t / 100.0) / 100.0
         assert joint_pdf(x, y, cfg) == pytest.approx(
             w1 * F(x) * (F(y) - F(x))**4 * (1 - F(y))**3 * f(x) * f(y),
-            rel=1e-13)
+            rel=1e-13, abs=0.0)
 
 
 class TestJointPdf:
@@ -76,7 +76,28 @@ class TestJointPdf:
         u, s = math.exp(-x / cfg.rho), math.exp(-(y - x) / cfg.rho)
         expect = (beta_dist.pdf(u, *cfg.u_shape) * beta_dist.pdf(s, *cfg.s_shape)
                   * u * s / cfg.rho**2)
-        assert joint_pdf(x, y, cfg) == pytest.approx(expect, rel=1e-9)
+        assert joint_pdf(x, y, cfg) == pytest.approx(expect, rel=1e-9, abs=0.0)
+
+    def test_endpoint_exponents(self):
+        # x/rho underflows to 0, so u = 1 and log(1 - u) = -inf: a Beta term
+        # with exponent 0 counts as 0 log 0 = 0, any other makes the density
+        # 0, both without a warning
+        x, y = 5e-324, 1.0
+        assert joint_pdf(x, y, PairingConfig(2, 1, 2, 10.0)) == pytest.approx(
+            0.02 * math.exp(-0.1), rel=1e-13, abs=0.0)
+        assert joint_pdf(x, y, PairingConfig(5, 2, 4, 10.0)) == 0.0
+
+    def test_small_x_keeps_its_digits(self):
+        # at x/rho = 1e-10, 1 - u from a rounded u = exp(-x/rho) is 8e-8 off
+        cfg = PairingConfig(5, 2, 4, 10.0)
+        x, y = 1e-9, 7.0
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            F = lambda t: -mp.expm1(-mp.mpf(t) / 10)
+            f = lambda t: mp.exp(-mp.mpf(t) / 10) / 10
+            # M! / ((m-1)! (n-m-1)! (M-n)!) = 120
+            expect = float(120 * F(x) * (F(y) - F(x)) * (1 - F(y)) * f(x) * f(y))
+        assert joint_pdf(x, y, cfg) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("M,m,n", [(2, 1, 2), (10, 2, 7), (10, 5, 6)])
     def test_normalization(self, M, m, n):
