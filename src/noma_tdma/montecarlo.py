@@ -1,9 +1,11 @@
 """Seeded Monte Carlo estimates of event probabilities and average rates.
 
-Trials are split into fixed-size logical blocks; block b draws from the
-counter-based Philox stream `Philox(seed).jumped(b)`, so the sample set is a
-pure function of (seed, trials) and results are bit-identical no matter how
-many workers execute the blocks.
+Trials are split into fixed-size logical blocks; block b draws from an
+SFC64 generator seeded by `SeedSequence(seed, spawn_key=(b,))`, numpy's way
+of deriving independent streams, so the sample set is a pure function of
+(seed, trials) and results are bit-identical no matter how many workers
+execute the blocks.  Spawn keys need no jump-ahead, so the generator can be
+SFC64, whose exponential draws cost ~2/3 of Philox's.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ BLOCK_SIZE = 1 << 16
 CHUNK = 1 << 13
 
 #: identifier of the RNG scheme, recorded in run manifests
-RNG_SCHEME = "philox4x64-jumped-blocks-v3"
+RNG_SCHEME = "sfc64-seedseq-blocks-v4"
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,10 @@ class McConfig:
             raise ValueError("trials must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
+        # checked before any lane starts: SeedSequence takes any non-negative
+        # integer, but a seed keeps the 128-bit domain of earlier schemes
+        if not 0 <= self.seed < 1 << 128:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,8 @@ class AverageRates:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(block))
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
 def _blocks(trials: int) -> list[tuple[int, int]]:
@@ -147,22 +154,31 @@ def estimate_average_rates(cfg: PairingConfig, a2: float, b2: float,
         for s in _chunks(count):
             rates[0, s], rates[1, s] = noma_rates(x[s], y[s], a2)
             rates[2, s], rates[3, s] = tdma_rates(x[s], y[s], b2)
+        # sums and squares of the rates less the block's first draw, so that
+        # they keep their digits when the rates barely vary (at high SNR
+        # r1_noma is nearly log2(1/a2), and E[r^2] - E[r]^2 cancels)
+        shift = rates[:, 0].copy()
+        rates -= shift[:, None]
         sums = rates.sum(axis=1)
-        # squares about the block mean: E[r^2] - E[r]^2 cancels when the
-        # rates barely vary (at high SNR r1_noma is nearly log2(1/a2))
         rates -= (sums / count)[:, None]
-        return np.stack([sums, np.square(rates, out=rates).sum(axis=1)])
+        return np.stack([shift, sums, np.square(rates, out=rates).sum(axis=1)])
 
     # rows x, y and the four rates
     partials = _run_blocks(run, mc, 6)
-    sums = np.zeros(4)
-    for part in partials:  # ordered fold keeps the result scheduler-independent
-        sums += part[0]
     N = mc.trials
-    means = sums / N
+    counts = [count for _, count in _blocks(N)]
+    # sums about block 0's first draw, then folded in block order, which
+    # keeps the result scheduler-independent
+    base = partials[0][0]
+    offsets = [part[0] - base for part in partials]
+    total = np.zeros(4)
+    for count, offset, part in zip(counts, offsets, partials):
+        total += count * offset + part[1]
+    mean = total / N
     # pooled squares about the overall mean: within-block plus between-block
     sq = np.zeros(4)
-    for (_, count), part in zip(_blocks(N), partials):
-        sq += part[1] + count * (part[0] / count - means)**2
+    for count, offset, part in zip(counts, offsets, partials):
+        sq += part[2] + count * (offset + part[1] / count - mean)**2
     stderr = np.sqrt(sq / N / N)
-    return AverageRates(*map(float, means), stderr=tuple(map(float, stderr)))
+    return AverageRates(*map(float, base + mean),
+                        stderr=tuple(map(float, stderr)))

@@ -106,10 +106,11 @@ def marginal_cdf_n(t, cfg: PairingConfig):
 
 #: spacing runs at least this long are drawn as a gamma ratio, shorter ones
 #: as a sum of exponentials.  Per 65,536 draws into reused rows on a 2-core
-#: x86-64 KVM guest (numpy 2.4.6, Philox; median of 60 interleaved rounds),
-#: a sum of k exponentials takes ~0.82*k ms and the ratio of two gammas
-#: ~5.3 ms (~3.6 ms when the denominator shape is 1), so the two cost about
-#: the same at k = 6.  The value fixes which draws a block makes, so it is
+#: x86-64 KVM guest (numpy 2.4.6, SFC64; median of 60 interleaved rounds),
+#: a sum of k exponentials takes ~0.39*k ms and the ratio of two gammas
+#: ~3.0 ms (~2.0 ms when the denominator shape is 1), so the sum is the
+#: cheaper up to k = 7 when that shape is above 1, up to k = 5 when it is 1,
+#: and 6 sits between.  The value fixes which draws a block makes, so it is
 #: part of `montecarlo.RNG_SCHEME`.
 GAMMA_RUN = 6
 
@@ -131,8 +132,9 @@ def _log_beta_draw(rng: np.random.Generator, shape: tuple[int, int],
         np.log1p(out, out=out)
         out *= rho
         return
-    out.fill(0.0)
-    for rate in range(a + b - 1, a - 1, -1):
+    rng.standard_exponential(out=out)
+    out *= rho / (a + b - 1)
+    for rate in range(a + b - 2, a - 1, -1):
         rng.standard_exponential(out=scratch)
         scratch *= rho / rate
         out += scratch

@@ -38,6 +38,18 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(shards=0)
 
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_domain_ends_are_accepted(self, seed):
+        est = estimate_event_probs(CFG, A2, 0.5, McConfig(trials=1, seed=seed))
+        assert sorted(est.as_tuple()) == [0.0, 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_128_bits_rejected(self, seed):
+        # SeedSequence would take 2**128 and up; the seed's domain does not
+        # grow with the generator
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(seed=seed)
+
 
 class TestEventEstimates:
     def test_frequencies_form_distribution(self):
@@ -104,10 +116,20 @@ class TestEventEstimates:
     def test_single_trial_matches_direct_draw(self):
         est = estimate_event_probs(CFG, A2, 0.5, McConfig(trials=1, seed=3))
         # block 0 of seed 3 draws from the documented stream
-        rng = np.random.Generator(np.random.Philox(key=3).jumped(0))
+        rng = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(3, spawn_key=(0,))))
         x, y = sample_pairs(CFG, rng, 1)
         label = int(classify_many(x, y, A2, 0.5)[0])
         assert est.as_tuple()[label - 1] == 1.0
+
+    def test_block_streams_are_distinct(self):
+        # 64 (seed, block) streams, (s, b) and (b, s) among them: a dropped
+        # spawn key (8 streams), a symmetric mix such as seed + block, or
+        # streams that overlap within their first 256 outputs (leading
+        # draws included) repeat values
+        raw = [montecarlo._block_rng(seed, block).bit_generator.random_raw(256)
+               for seed in range(8) for block in range(8)]
+        assert len(set(np.concatenate(raw).tolist())) == 64 * 256
 
     def test_special_case_within_three_stderr(self):
         cfg = PairingConfig(10, 1, 10, RHO25)
@@ -128,28 +150,33 @@ class TestEventEstimates:
 
 def _plain_estimates(cfg, a2, b2, trials, seed):
     """Both estimates from the definition: block b draws its whole block from
-    Philox(seed).jumped(b) and classifies and rates it in one call each."""
+    SFC64(SeedSequence(seed, spawn_key=(b,))) and classifies and rates it in
+    one call each; rate sums are about each block's first draw."""
     counts = np.zeros(4, dtype=np.int64)
     parts = []
     for block, start in enumerate(range(0, trials, BLOCK_SIZE)):
         count = min(BLOCK_SIZE, trials - start)
-        rng = np.random.Generator(np.random.Philox(key=seed).jumped(block))
+        rng = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(block,))))
         x, y = sample_pairs(cfg, rng, count)
         counts += np.bincount(classify_many(x, y, a2, b2), minlength=5)[1:]
         rates = np.stack([*noma_rates(x, y, a2), *tdma_rates(x, y, b2)])
+        shift = rates[:, 0].copy()
+        rates -= shift[:, None]
         sums = rates.sum(axis=1)
         rates -= (sums / count)[:, None]
-        parts.append((count, sums, np.square(rates).sum(axis=1)))
+        parts.append((count, shift, sums, np.square(rates).sum(axis=1)))
     p = counts / trials
     events = (*p, *np.sqrt(p * (1.0 - p) / trials))
-    sums = np.zeros(4)
-    for _, block_sums, _ in parts:
-        sums += block_sums
-    means = sums / trials
+    base = parts[0][1]
+    total = np.zeros(4)
+    for count, shift, block_sums, _ in parts:
+        total += count * (shift - base) + block_sums
+    mean = total / trials
     sq = np.zeros(4)
-    for count, block_sums, block_sq in parts:
-        sq += block_sq + count * (block_sums / count - means)**2
-    return events, (*means, *np.sqrt(sq / trials / trials))
+    for count, shift, block_sums, block_sq in parts:
+        sq += block_sq + count * (shift - base + block_sums / count - mean)**2
+    return events, (*(base + mean), *np.sqrt(sq / trials / trials))
 
 
 class TestLanesAndChunks:
@@ -178,17 +205,17 @@ class TestLanesAndChunks:
         est = estimate_event_probs(CFG, A2, 0.5, mc)
         avg = estimate_average_rates(CFG, A2, 0.5, mc)
         assert [float(v).hex() for v in est.as_tuple() + est.stderr] == [
-            "0x1.fd4a0f5c539f8p-10", "0x1.48b80e97ad4f3p-1",
-            "0x1.6c5544c77a405p-2", "0x1.ea9fce766e0b9p-13",
-            "0x1.a083d23b254e8p-14", "0x1.1b6a0e7a85f89p-10",
-            "0x1.1b07a4c5da1f3p-10", "0x1.21520f3041a13p-15"]
+            "0x1.114f48940f63bp-9", "0x1.4ac20309eec7bp-1",
+            "0x1.6814078e7fd88p-2", "0x1.154f31e9e527fp-12",
+            "0x1.af7aaab47800bp-14", "0x1.1ab4c6e222f0ep-10",
+            "0x1.1a473e6d71882p-10", "0x1.339b3ea0d1c70p-15"]
         assert [float(v).hex() for v in (avg.r1_noma, avg.r2_noma,
                                          avg.r1_tdma, avg.r2_tdma)
                 + avg.stderr] == [
-            "0x1.d579b5901d312p+1", "0x1.102ad2e754b55p+2",
-            "0x1.6d3c03cd897a2p+1", "0x1.0a69d8339ae15p+2",
-            "0x1.b773c240a998ap-11", "0x1.4698ecf642a9ep-10",
-            "0x1.4a8064e2a9c8ap-10", "0x1.5a4ebcf12c912p-11"]
+            "0x1.d5abf5d0b0d49p+1", "0x1.1059e3379b425p+2",
+            "0x1.6d863e3f9b8a5p+1", "0x1.0a82e5d3ceee0p+2",
+            "0x1.b4f4fdabf8a57p-11", "0x1.45b7bbe8d8668p-10",
+            "0x1.49ecf428215f5p-10", "0x1.5963406413bbfp-11"]
 
     @pytest.mark.parametrize("estimate,rows", [
         (estimate_event_probs, 3),  # x, y and the sampler's scratch
@@ -278,7 +305,10 @@ class TestAverageRates:
 
     def test_stderr_at_high_snr(self, monkeypatch):
         # at 300 dB r1_noma is log2(1/a2) to ~1e-11, where E[r^2] - E[r]^2
-        # cancels; compare with numpy's two-pass std over the same draws
+        # cancels, and so do block means taken without a shift.  The
+        # reference is a two-pass over the same draws less the first, which
+        # is exact (the draws are within a factor 2 of each other), with
+        # correctly rounded sums
         draws = []
 
         def recording(x, y, a2):
@@ -293,8 +323,11 @@ class TestAverageRates:
                                      McConfig(trials=2 * BLOCK_SIZE, seed=1))
         r1 = np.concatenate(draws)
         assert r1.size == 2 * BLOCK_SIZE
-        assert est.stderr[0] == pytest.approx(r1.std() / math.sqrt(r1.size),
-                                              rel=1e-6)
+        d = r1 - r1[0]
+        mean = math.fsum(d) / d.size
+        var = math.fsum(np.square(d - mean)) / d.size
+        assert est.stderr[0] == pytest.approx(math.sqrt(var / d.size),
+                                              rel=1e-12, abs=0.0)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
