@@ -4,7 +4,8 @@ Subcommands: regions, events, sweep-n, rates, validate.  SNR is taken in dB
 on the command line and converted to linear rho = 10**(dB/10) internally.
 Every file-writing command drops a JSON run manifest next to its outputs so
 a run can be reproduced byte-identically.  The modules that import scipy
-are imported only by the method or subcommand that runs them.
+are imported only by the method or subcommand that runs them, and the
+package root imports nothing, so importing this module loads numpy alone.
 """
 from __future__ import annotations
 

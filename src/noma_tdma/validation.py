@@ -45,9 +45,10 @@ def _random_channels(rng: np.random.Generator, count: int):
     return x, y
 
 
-def check_propositions(seed: int, samples: int = 1_000_000) -> list[dict]:
+def check_propositions(seed: int) -> list[dict]:
     """Monotone-sum and dominance inequalities plus full/reduced classifier
-    agreement, on `samples` random draws."""
+    agreement, on 1e6 random draws."""
+    samples = 1_000_000
     rng = np.random.default_rng(seed)
     x, y = _random_channels(rng, samples)
     r2_star = log2_1p(y)
@@ -82,9 +83,10 @@ def check_propositions(seed: int, samples: int = 1_000_000) -> list[dict]:
     ]
 
 
-def check_regions(seed: int, samples: int = 1000) -> list[dict]:
+def check_regions(seed: int) -> list[dict]:
     """Boundary endpoint identities, dominance, concavity, slope, and the
-    point-F coordinates on random channels."""
+    point-F coordinates on 1000 random channels."""
+    samples = 1000
     rng = np.random.default_rng(seed)
     x, y = _random_channels(rng, samples)
     r1s, r2s = log2_1p(x), log2_1p(y)
@@ -215,8 +217,10 @@ def _chi_square_pvalue(x: np.ndarray, y: np.ndarray, cfg: PairingConfig,
 
 
 def check_probabilities(seed: int, trials: int = 1_000_000,
-                        quad_tol: float = 1e-6, M: int = 10) -> list[dict]:
-    """Three-way closed/quadrature/MC agreement over the standard grid."""
+                        quad_tol: float = 1e-6) -> list[dict]:
+    """Three-way closed/quadrature/MC agreement over the standard grid of
+    pairings of M = 10 users."""
+    M = 10
     # Sidak correction: at this per-interval confidence all `count`
     # intervals of the grid hold their closed-form values at once with
     # probability MC_CONFIDENCE

@@ -8,23 +8,23 @@ from scipy.integrate import dblquad, quad
 from scipy.special import bdtrc, betaln
 
 from noma_tdma import analytic, quadrature
-from noma_tdma import (
-    ConvergenceError,
-    EventProbabilities,
-    InconsistencyError,
-    PairingConfig,
-    classify_many,
-    e2_threshold,
+from noma_tdma.analytic import (
     event_probabilities_closed,
-    event_probabilities_quadrature,
-    joint_pdf,
-    marginal_cdf_n,
-    optimal_a2_special,
     p_eps2_closed,
     p_eps2_special,
     p_eps4_closed,
     strong_user_tail,
 )
+from noma_tdma.events import (
+    ConvergenceError,
+    EventProbabilities,
+    InconsistencyError,
+    classify_many,
+    e2_threshold,
+    optimal_a2_special,
+)
+from noma_tdma.order_stats import PairingConfig, joint_pdf, marginal_cdf_n
+from noma_tdma.quadrature import event_probabilities_quadrature
 
 RHO25 = 10.0**2.5
 
@@ -360,7 +360,10 @@ def _large_m_points():
               (200, 20, 50, 10.0, 0.3),
               (120, 30, 60, 5.0, 0.4),
               # scipy's quad called this integral "probably divergent"
-              (91, 6, 10, 52.9, 0.0022722)]
+              (91, 6, 10, 52.9, 0.0022722),
+              # P(E3) = 1.47e-11 needs the P(E4) integral's edges at
+              # x = rho 2^k: without them it is 9.3e-12 off
+              (5, 4, 5, 24.366285265792925, 0.00025073852360610256)]
     rng = np.random.default_rng(2015)
     modes = ["inv_sqrt_rho", "special", "fixed"]
     for _ in range(10):

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
-from noma_tdma import (
-    DegenerateSplitError,
-    classify_many,
-    e2_threshold,
-)
+from noma_tdma.events import DegenerateSplitError, classify_many, e2_threshold
 from noma_tdma.regions import f_noma, f_tdma, log2_1p, noma_rates, tdma_rates
 
 

@@ -6,20 +6,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from noma_tdma import (
+from noma_tdma import montecarlo
+from noma_tdma.analytic import p_eps2_special
+from noma_tdma.events import classify_many, optimal_a2_special
+from noma_tdma.montecarlo import (
+    BLOCK_SIZE,
     AverageRates,
     McConfig,
-    PairingConfig,
-    binomial_interval,
     estimate_average_rates,
     estimate_event_probs,
-    optimal_a2_special,
-    p_eps2_special,
-    sample_pairs,
 )
-from noma_tdma import montecarlo
-from noma_tdma.events import classify_many
-from noma_tdma.montecarlo import BLOCK_SIZE
+from noma_tdma.order_stats import PairingConfig, sample_pairs
+from noma_tdma.validation import binomial_interval
 from noma_tdma.regions import noma_rates, tdma_rates
 
 RHO25 = 10.0**2.5

@@ -6,7 +6,7 @@ from scipy.integrate import dblquad, quad
 from scipy.special import beta
 from scipy.stats import beta as beta_dist, kstest
 
-from noma_tdma import (
+from noma_tdma.order_stats import (
     PairingConfig,
     joint_pdf,
     marginal_cdf_n,

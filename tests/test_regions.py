@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from noma_tdma import (
+from noma_tdma.regions import (
     ChannelPair,
     InfeasibleSplitError,
     PowerSplit,
     TimeSplit,
-    region_boundary_samples,
-)
-from noma_tdma.regions import (
     f_noma,
     f_noma_slope,
     f_tdma,
     log2_1p,
     noma_rates,
+    region_boundary_samples,
     tdma_rates,
 )
 

@@ -3,15 +3,10 @@ import math
 
 import numpy as np
 
-from noma_tdma import (
-    McConfig,
-    PairingConfig,
-    estimate_event_probs,
-    p_eps4_closed,
-    sample_pairs,
-)
 from noma_tdma import validation
-from noma_tdma.order_stats import GAMMA_RUN
+from noma_tdma.analytic import p_eps4_closed
+from noma_tdma.montecarlo import McConfig, estimate_event_probs
+from noma_tdma.order_stats import GAMMA_RUN, PairingConfig, sample_pairs
 from noma_tdma.regions import f_noma_slope
 
 

@@ -1,0 +1,131 @@
+"""Mutation check: each listed mutant must make the Tier-1 tests fail.
+
+A mutant is one (file, old text, new text) replacement; the old text must
+occur exactly once in the file.  Each is applied to its own temporary copy
+of the tree, where `python -m pytest -x -q` must fail (exit 1).  The
+unmutated copy must pass first.  A mutant that survives, or that no longer
+applies, fails the run.  Standard library only:
+
+    python3 tools/mutants.py
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
+                                ".hypothesis", ".benchmarks", "_out")
+
+MUTANTS = [
+    # the P(E4) start edges at x = rho 2^k, pinned by the (5, 4, 5) point
+    # of test_closed_forms_match_mpmath_up_to_m200
+    ("src/noma_tdma/analytic.py",
+     "np.expm1(math.log1p(lo) * _LO_STEPS), rho * _RHO_STEPS))",
+     "np.expm1(math.log1p(lo) * _LO_STEPS)))"),
+    # the P(E4) start edges at 1 + x = (1 + lo)^(1/4, 1/2, 3/4)
+    ("src/noma_tdma/analytic.py",
+     "np.expm1(math.log1p(lo) * _LO_STEPS), rho * _RHO_STEPS))",
+     "rho * _RHO_STEPS))"),
+    # the integrator's quarter margin on a panel's share of the tol
+    ("src/noma_tdma/analytic.py",
+     "done = 4.0 * err <= budget / err.size",
+     "done = err <= budget / err.size"),
+    # P(E1) as the complement of the upper binomial tail, which loses a
+    # small P(E1)'s relative accuracy
+    ("src/noma_tdma/analytic.py",
+     "EventProbabilities(float(bdtr(cfg.m - 1, cfg.M, q)),",
+     "EventProbabilities(float(1.0 - bdtrc(cfg.m - 1, cfg.M, q)),"),
+    # the oracle's panel edges at the jumps of the E1 mass
+    ("src/noma_tdma/quadrature.py",
+     "np.union1d(np.linspace(0.0, 1.0, 9),\n"
+     "                       _e1_jumps(cfg, a2, b2, cut_tol))",
+     "np.linspace(0.0, 1.0, 9)"),
+    # half the oracle's bulk s-probes
+    ("src/noma_tdma/quadrature.py",
+     "bulk = (np.arange(64) + 0.5) / 64",
+     "bulk = (np.arange(32) + 0.5) / 32"),
+    # a tie tolerance far above rounding
+    ("src/noma_tdma/events.py",
+     "TIE_TOL = 1e-12",
+     "TIE_TOL = 1e-9"),
+    # ties go to the highest matching event id, not the lowest
+    ("src/noma_tdma/events.py",
+     "                table[code] = event\n                break\n",
+     "                table[code] = event\n"),
+    # u's Beta shape reversed: every method moves together, so only an
+    # outside witness sees it
+    ("src/noma_tdma/order_stats.py",
+     "return self.M - self.m + 1, self.m",
+     "return self.m, self.M - self.m + 1"),
+    # the sampler's sum-to-gamma switch at runs of 3 spacings, not 6
+    ("src/noma_tdma/order_stats.py",
+     "GAMMA_RUN = 6",
+     "GAMMA_RUN = 3"),
+    # average-rate sums taken about 0, not about each block's first draw
+    ("src/noma_tdma/montecarlo.py",
+     "shift = rates[:, 0].copy()",
+     "shift = np.zeros(4)"),
+    # a name in the README's paper-to-code map that no module defines
+    ("README.md",
+     "`noma_tdma.analytic.p_eps2_special`",
+     "`noma_tdma.analytic.p_eps2_exact`"),
+]
+
+
+def run_tests(tree: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q"],
+                          cwd=tree, env=env, capture_output=True, text=True)
+
+
+def failed_line(proc: subprocess.CompletedProcess) -> str:
+    for line in proc.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line[:160]
+    return f"exit {proc.returncode}"
+
+
+def copy_tree(tmp: str) -> str:
+    tree = os.path.join(tmp, "tree")
+    shutil.copytree(ROOT, tree, ignore=IGNORE)
+    return tree
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        base = run_tests(copy_tree(tmp))
+    if base.returncode != 0:
+        print(base.stdout[-3000:])
+        print("unmutated tree: tests fail")
+        return 1
+    survivors = 0
+    for i, (path, old, new) in enumerate(MUTANTS, start=1):
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = copy_tree(tmp)
+            with open(os.path.join(tree, path)) as fh:
+                text = fh.read()
+            if text.count(old) != 1:
+                print(f"mutant {i} {path}: old text found {text.count(old)} "
+                      f"times")
+                survivors += 1
+                continue
+            line = text[:text.index(old)].count("\n") + 1
+            label = f"mutant {i} {path}:{line}"
+            with open(os.path.join(tree, path), "w") as fh:
+                fh.write(text.replace(old, new))
+            proc = run_tests(tree)
+        if proc.returncode == 1:
+            print(f"{label}: killed, {failed_line(proc)}")
+        else:
+            print(f"{label}: SURVIVED ({failed_line(proc)})")
+            survivors += 1
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
