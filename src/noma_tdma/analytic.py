@@ -19,9 +19,12 @@ from collections.abc import Callable
 import numpy as np
 from scipy.special import bdtr, bdtrc
 
-from .events import (CLAMP_TOL, ConvergenceError, EventProbabilities,
+from .events import (ConvergenceError, EventProbabilities,
                      InconsistencyError, e2_threshold)
 from .order_stats import PairingConfig, _beta_cuts, beta_logpdf
+
+#: slack used when clamping a rounded or integrated result to the unit interval
+CLAMP_TOL = 1e-9
 
 #: absolute tolerance of the 1-D P(E4) integral
 QUAD_TOL = 1e-12
@@ -214,12 +217,16 @@ def event_probabilities_closed(cfg: PairingConfig, a2: float) -> EventProbabilit
     """All four closed-form probabilities, each from its own binomial tail.
 
     P(E1) = P(K <= m-1), P(E2) is `p_eps2_closed`, and P(E3) = P(K >= n) -
-    P(E4); `EventProbabilities` checks that the four sum to 1.
+    P(E4).  As none is one minus the others, their sum is a real check:
+    this function raises InconsistencyError if it is more than 1e-9 off 1.
     """
     q = _threshold_cdf(cfg, a2)
     p4 = p_eps4_closed(cfg, a2)
     # the integral's error can carry P(E4) a hair past P(K >= n)
     p3 = _clamp_probability(float(bdtrc(cfg.n - 1, cfg.M, q)) - p4, "P(E3)")
-    return EventProbabilities(float(bdtr(cfg.m - 1, cfg.M, q)),
-                              p_eps2_closed(cfg, a2), p3, p4,
-                              method="closed_form")
+    probs = EventProbabilities(float(bdtr(cfg.m - 1, cfg.M, q)),
+                               p_eps2_closed(cfg, a2), p3, p4)
+    total = math.fsum(probs.as_tuple())
+    if abs(total - 1.0) > 1e-9:
+        raise InconsistencyError(f"probabilities sum to {total}, not 1")
+    return probs

@@ -21,16 +21,8 @@ from . import __version__, montecarlo
 from .events import ConvergenceError, EventProbabilities, optimal_a2_special
 from .montecarlo import McConfig, RNG_SCHEME
 from .order_stats import PairingConfig
-from .regions import (
-    ChannelPair,
-    PowerSplit,
-    TimeSplit,
-    f_tdma,
-    log2_1p,
-    noma_rates,
-    region_boundary_samples,
-    tdma_rates,
-)
+from .regions import (f_tdma, log2_1p, noma_rates, region_boundary_samples,
+                      tdma_rates)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -106,17 +98,20 @@ def _resolve_a2(mode: str, rho: float) -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_regions(args: argparse.Namespace) -> int:
-    ch = ChannelPair(args.x, args.y)
+    x, y, a2, b2 = args.x, args.y, args.mark_a2, args.mark_b2
     rows = []
     for kind in ("capacity", "noma", "tdma"):
-        r1, r2 = region_boundary_samples(kind, ch, args.points)
+        r1, r2 = region_boundary_samples(kind, x, y, args.points)
         rows += [[kind, b, a] for a, b in zip(r1.tolist(), r2.tolist())]
-    if args.mark_a2 is not None:
-        p, t = PowerSplit(args.mark_a2), TimeSplit(args.mark_b2)
-        p.require_noma()
-        x, y, a2 = ch.x, ch.y, p.a2
+    if a2 is not None:
+        # written so that NaN fails the checks; NOMA gives the weaker user
+        # at least half the power
+        if not 0.0 <= a2 <= 0.5:
+            raise ValueError(f"NOMA needs 0 <= a2 <= 1/2, got --mark-a2 {a2}")
+        if not 0.0 <= b2 <= 1.0:
+            raise ValueError(f"need 0 <= b2 <= 1, got --mark-b2 {b2}")
         r1n, r2n = (float(r) for r in noma_rates(x, y, a2))
-        r1t, r2t = (float(r) for r in tdma_rates(x, y, t.b2))
+        r1t, r2t = (float(r) for r in tdma_rates(x, y, b2))
         # where the comparison lines through N meet the TDMA segment: B on
         # r1 = R1N, C on r2 = R2N, D on the sum rate.  z_B and z_D are R2*
         # times a ratio of logs in [0, 1], so nothing cancels as y -> x or

@@ -25,9 +25,6 @@ import numpy as np
 #: comparisons closer than this are ties, broken toward the lower event id
 TIE_TOL = 1e-12
 
-#: slack used when clamping a rounded or integrated result to the unit interval
-CLAMP_TOL = 1e-9
-
 # TIE_TOL in nats, the unit of the margins h
 _TIE_NATS = TIE_TOL * math.log(2.0)
 
@@ -51,27 +48,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class EventProbabilities:
-    """Distribution over the four events, with computation-method metadata."""
+    """P(E1)..P(E4) as one solver returned them, with the binomial standard
+    errors of a Monte Carlo estimate.  Each solver checks its own sum."""
 
     p1: float
     p2: float
     p3: float
     p4: float
-    method: str  # 'closed_form' | 'quadrature' | 'monte_carlo'
     stderr: tuple[float, float, float, float] | None = None
-
-    def __post_init__(self):
-        probs = self.as_tuple()
-        for p in probs:
-            if not -CLAMP_TOL <= p <= 1.0 + CLAMP_TOL:
-                raise InconsistencyError(f"probability {p} outside [0, 1]")
-        total = math.fsum(probs)
-        if self.method == "monte_carlo":
-            slack = 4.0 * math.fsum(self.stderr) if self.stderr else 1e-9
-        else:
-            slack = 1e-9
-        if abs(total - 1.0) > max(slack, 1e-9):
-            raise InconsistencyError(f"probabilities sum to {total}, not 1")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p1, self.p2, self.p3, self.p4)

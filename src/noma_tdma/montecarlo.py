@@ -139,7 +139,7 @@ def estimate_event_probs(cfg: PairingConfig, a2: float, b2: float,
     N = mc.trials
     p = counts / N
     stderr = np.sqrt(p * (1.0 - p) / N)
-    return EventProbabilities(*map(float, p), method="monte_carlo",
+    return EventProbabilities(*map(float, p),
                               stderr=tuple(map(float, stderr)))
 
 

@@ -185,7 +185,10 @@ def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
 def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.5,
                                    tol: float = 1e-6) -> EventProbabilities:
     """All four event probabilities by adaptive 2-D quadrature of the joint
-    density against the classifier indicator.  Deterministic for fixed tol."""
+    density against the classifier indicator.  Deterministic for fixed tol.
+
+    The four masses must sum to 1 within 10 * tol, or ConvergenceError is
+    raised; each is then clipped to [0, 1]."""
     if not 1e-10 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 1e-10, got {tol}")
     cut_tol = _CUT_SHARE * tol
@@ -200,4 +203,4 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
         raise ConvergenceError(
             f"event masses sum to {totals.sum()}, outside 1 +/- {10 * tol}")
     p = np.clip(totals, 0.0, 1.0)
-    return EventProbabilities(*map(float, p), method="quadrature")
+    return EventProbabilities(*map(float, p))

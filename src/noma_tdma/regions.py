@@ -7,63 +7,15 @@ channel use (BPCU), all SNRs are linear (not dB).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 LN2 = math.log(2.0)
 
 
-class InfeasibleSplitError(ValueError):
-    """The strong user was given more than half the power (a2 > 1/2)."""
-
-
 def log2_1p(v):
     """log2(1 + v), accurate for small v.  Works on scalars and arrays."""
     return np.log1p(v) / LN2
-
-
-@dataclass(frozen=True)
-class ChannelPair:
-    """Ordered effective SNR pair: x for the weaker user, y for the stronger."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
-            raise ValueError("channel SNRs must be finite")
-        if not 0.0 < self.x < self.y:
-            raise ValueError(f"need 0 < x < y, got x={self.x}, y={self.y}")
-
-
-@dataclass(frozen=True)
-class PowerSplit:
-    """NOMA power allocation.  Only a2 is stored; a1 = 1 - a2 by construction."""
-
-    a2: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a2) and 0.0 <= self.a2 <= 1.0):
-            raise ValueError(f"a2 must lie in [0, 1], got {self.a2}")
-
-    def require_noma(self) -> None:
-        """NOMA gives the weaker user at least half the power."""
-        if self.a2 > 0.5:
-            raise InfeasibleSplitError(
-                f"NOMA requires a2 <= 1/2, got a2={self.a2}"
-            )
-
-
-@dataclass(frozen=True)
-class TimeSplit:
-    """TDMA time-sharing fractions.  Only b2 is stored; b1 = 1 - b2."""
-
-    b2: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.b2) and 0.0 <= self.b2 <= 1.0):
-            raise ValueError(f"b2 must lie in [0, 1], got {self.b2}")
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +73,10 @@ _BOUNDARIES = {
 }
 
 
-def region_boundary_samples(kind: str, ch: ChannelPair,
+def region_boundary_samples(kind: str, x: float, y: float,
                             count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (r1, r2) of `count` points on the selected boundary, uniform
-    in r2.
+    """Arrays (r1, r2) of `count` points on the selected boundary of the
+    channel pair 0 < x < y, uniform in r2.
 
     For 'capacity' and 'tdma' the sweep covers [0, R2*]; for 'noma' it stops
     at point F (a2 = 1/2).  The first point is always (R1*, 0).
@@ -133,7 +85,10 @@ def region_boundary_samples(kind: str, ch: ChannelPair,
         raise ValueError(f"unknown region kind {kind!r}")
     if count < 2:
         raise ValueError("count must be at least 2")
+    # written so that NaN fails the check; x = y breaks strict degradedness
+    if not 0.0 < x < y < math.inf:
+        raise ValueError(f"need 0 < x < y < inf, got x={x}, y={y}")
     # the NOMA arc ends at point F, r2 = log2(1 + y/2)
-    z_max = log2_1p(ch.y / 2.0 if kind == "noma" else ch.y)
+    z_max = log2_1p(y / 2.0 if kind == "noma" else y)
     z_grid = np.linspace(0.0, z_max, count)
-    return np.maximum(_BOUNDARIES[kind](z_grid, ch.x, ch.y), 0.0), z_grid
+    return np.maximum(_BOUNDARIES[kind](z_grid, x, y), 0.0), z_grid

@@ -17,7 +17,6 @@ from noma_tdma.analytic import (
 )
 from noma_tdma.events import (
     ConvergenceError,
-    EventProbabilities,
     InconsistencyError,
     classify_many,
     e2_threshold,
@@ -254,7 +253,6 @@ class TestEps3AndDistribution:
     def test_distribution_object(self):
         cfg = PairingConfig(10, 4, 5, RHO25)
         probs = event_probabilities_closed(cfg, 1.0 / math.sqrt(RHO25))
-        assert probs.method == "closed_form"
         assert math.fsum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("cfg, a2, expect", [
@@ -299,12 +297,6 @@ class TestEps3AndDistribution:
         with pytest.raises(InconsistencyError, match="sum to"):
             event_probabilities_closed(PairingConfig(10, 2, 7, RHO25),
                                        1.0 / math.sqrt(RHO25))
-
-    def test_invalid_distribution_rejected(self):
-        with pytest.raises(InconsistencyError):
-            EventProbabilities(0.5, 0.5, 0.5, 0.5, method="closed_form")
-        with pytest.raises(InconsistencyError):
-            EventProbabilities(1.2, -0.2, 0.0, 0.0, method="closed_form")
 
 
 def _mpmath_event_probs(M, m, n, rho, a2):
@@ -437,7 +429,6 @@ class TestQuadratureOracle:
         probs = event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25),
                                                tol=1e-5)
         assert math.fsum(probs.as_tuple()) == pytest.approx(1.0, abs=1e-4)
-        assert probs.method == "quadrature"
 
     def test_special_case_value(self):
         cfg = PairingConfig(10, 1, 10, RHO25)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import noma_tdma
 from noma_tdma import quadrature
+from noma_tdma.analytic import event_probabilities_closed
 from noma_tdma.cli import (
     EXIT_CHECK_FAILED,
     EXIT_NO_CONVERGENCE,
@@ -20,6 +21,7 @@ from noma_tdma.cli import (
     VALIDATE_SUITES,
     main,
 )
+from noma_tdma.order_stats import PairingConfig
 
 
 def _read_csv(path):
@@ -204,6 +206,26 @@ class TestEvents:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "b2 = 1/2 only" in captured.err
+
+    @pytest.mark.parametrize("M, m, n, rho_db, a2_mode, a2", [
+        (1000, 999, 1000, 0.0, "fixed:0.3", 0.3),
+        (10000, 5000, 5001, 20.0, "inv_sqrt_rho", 0.1),
+    ], ids=["M1000", "M10000"])
+    def test_quadrature_sum_within_its_window_exits_0(
+            self, M, m, n, rho_db, a2_mode, a2, tmp_path):
+        # the oracle's masses sum to 1 - 3.1e-8 and 1 - 1.1e-9 here: inside
+        # its own 10 * tol window, but not the closed forms' 1e-9
+        out = tmp_path / "events.csv"
+        rc = main(["events", "--M", str(M), "--m", str(m), "--n", str(n),
+                   "--rho-db", str(rho_db), "--a2-mode", a2_mode,
+                   "--method", "quadrature", "--quad-tol", "1e-4",
+                   "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_csv(out)
+        closed = event_probabilities_closed(
+            PairingConfig(M, m, n, 10.0**(rho_db / 10.0)), a2)
+        assert [float(p) for p in rows[0][3:7]] == pytest.approx(
+            closed.as_tuple(), abs=1e-4)
 
 
 class TestA2Mode:

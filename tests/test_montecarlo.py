@@ -52,7 +52,6 @@ class TestMcConfig:
 class TestEventEstimates:
     def test_frequencies_form_distribution(self):
         est = estimate_event_probs(CFG, A2, 0.5, McConfig(trials=50_000))
-        assert est.method == "monte_carlo"
         assert math.fsum(est.as_tuple()) == pytest.approx(1.0, abs=1e-12)
         assert all(0.0 <= p <= 1.0 for p in est.as_tuple())
         assert all(se >= 0.0 for se in est.stderr)

@@ -3,11 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from noma_tdma.cli import EXIT_OK, EXIT_USAGE, main
 from noma_tdma.regions import (
-    ChannelPair,
-    InfeasibleSplitError,
-    PowerSplit,
-    TimeSplit,
     f_noma,
     f_noma_slope,
     f_tdma,
@@ -18,7 +15,7 @@ from noma_tdma.regions import (
 )
 
 
-CH13 = ChannelPair(1.0, 3.0)
+CH13 = (1.0, 3.0)
 
 
 def _channels(rng, size):
@@ -27,39 +24,46 @@ def _channels(rng, size):
     return x, x * (1 + rng.uniform(0.01, 20.0, size))
 
 
-class TestDomainTypes:
-    def test_channel_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            ChannelPair(3.0, 1.0)
-        with pytest.raises(ValueError):
-            ChannelPair(2.0, 2.0)  # ties violate strict degradedness
-        with pytest.raises(ValueError):
-            ChannelPair(0.0, 1.0)
-        with pytest.raises(ValueError):
-            ChannelPair(1.0, math.inf)
+def _regions(*argv):
+    """Exit code of `noma-tdma regions` at (x, y) = (1, 3) with more options."""
+    return main(["regions", "--x", "1", "--y", "3", "--points", "3", *argv])
 
-    def test_power_split_sums_exactly(self):
+
+class TestDomainTypes:
+    """The domain of x, y, a2 and b2, checked where each value is used: the
+    channel pair by `region_boundary_samples`, the marked splits by the
+    `regions` command."""
+
+    def test_channel_ordering_enforced(self):
+        # ties violate strict degradedness; NaN fails like any other value
+        for x, y in [(3.0, 1.0), (2.0, 2.0), (0.0, 1.0), (1.0, math.inf),
+                     (math.nan, 1.0)]:
+            for kind in ("capacity", "noma", "tdma"):
+                with pytest.raises(ValueError, match="0 < x < y"):
+                    region_boundary_samples(kind, x, y, 3)
+
+    def test_power_split_sums_exactly(self, capsys):
         # the weak user gets the rest of the power, a1 = 1 - a2: its rate is
         # log2(1 + a1 x / (1 + a2 x))
         x, y, a2 = 1.0, 3.0, 0.3
         r1, _ = noma_rates(x, y, a2)
         assert r1 == pytest.approx(
             math.log2(1 + (1 - a2) * x / (1 + a2 * x)), abs=1e-15)
-        with pytest.raises(ValueError):
-            PowerSplit(1.2)
-        with pytest.raises(ValueError):
-            PowerSplit(-0.1)
+        for bad in ("-0.1", "1.2", "nan"):
+            assert _regions("--mark-a2", bad) == EXIT_USAGE
 
-    def test_noma_feasibility(self):
-        PowerSplit(0.5).require_noma()  # boundary split is admitted
-        with pytest.raises(InfeasibleSplitError):
-            PowerSplit(0.6).require_noma()
+    def test_noma_feasibility(self, capsys):
+        # the boundary split is admitted, and so is no power to the strong user
+        assert _regions("--mark-a2", "0") == EXIT_OK
+        assert _regions("--mark-a2", "0.5") == EXIT_OK
+        assert _regions("--mark-a2", "0.6") == EXIT_USAGE
 
-    def test_time_split(self):
+    def test_time_split(self, capsys):
         # the weak user keeps the rest of the time, b1 = 1 - b2
         assert tdma_rates(1.0, 3.0, 0.25) == (0.75, 0.5)
-        with pytest.raises(ValueError):
-            TimeSplit(1.5)
+        assert _regions("--mark-a2", "0.25", "--mark-b2", "1.5") == EXIT_USAGE
+        # --mark-b2 is read only with --mark-a2
+        assert _regions("--mark-b2", "1.5") == EXIT_OK
 
     def test_rate_pair_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -94,11 +98,10 @@ class TestNomaRatePair:
         assert r1 == pytest.approx(math.log2(4.0 / 3.0), abs=1e-12)
         assert r2 == pytest.approx(math.log2(2.5), abs=1e-12)
 
-    def test_infeasible_split(self):
-        # a ValueError, so the CLI maps it to exit 2
-        with pytest.raises(InfeasibleSplitError):
-            PowerSplit(0.75).require_noma()
-        assert issubclass(InfeasibleSplitError, ValueError)
+    def test_infeasible_split(self, capsys):
+        # more than half the power to the strong user is not NOMA: exit 2
+        assert _regions("--mark-a2", "0.75") == EXIT_USAGE
+        assert "a2 <= 1/2" in capsys.readouterr().err
 
     def test_point_lies_on_boundary(self):
         rng = np.random.default_rng(3)
@@ -131,7 +134,7 @@ class TestBoundaries:
         assert f_noma(z, 1.0, 3.0) == pytest.approx(
             math.log2(4.0 / 3.0), abs=1e-12)
         # the capacity boundary is the NOMA curve over all of [0, R2*]
-        r1, r2 = region_boundary_samples("capacity", CH13, 3)
+        r1, r2 = region_boundary_samples("capacity", *CH13, 3)
         assert r1 == pytest.approx([1.0, math.log2(1.5), 0.0], abs=1e-12)
         assert r2 == pytest.approx([0.0, 1.0, 2.0], abs=1e-12)
 
@@ -182,12 +185,12 @@ class TestBoundaries:
 
 class TestBoundarySamples:
     def test_tdma_three_points(self):
-        r1, r2 = region_boundary_samples("tdma", CH13, 3)
+        r1, r2 = region_boundary_samples("tdma", *CH13, 3)
         assert r1 == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
         assert r2 == pytest.approx([0.0, 1.0, 2.0], abs=1e-12)
 
     def test_noma_endpoints(self):
-        r1, r2 = region_boundary_samples("noma", CH13, 2)
+        r1, r2 = region_boundary_samples("noma", *CH13, 2)
         assert (r1[0], r2[0]) == pytest.approx((1.0, 0.0), abs=1e-12)
         # point F at a2 = 1/2
         assert (r1[1], r2[1]) == pytest.approx(noma_rates(1.0, 3.0, 0.5),
@@ -196,12 +199,12 @@ class TestBoundarySamples:
 
     @pytest.mark.parametrize("kind", ["capacity", "noma", "tdma"])
     def test_first_point_and_monotonicity(self, kind):
-        r1, r2 = region_boundary_samples(kind, CH13, 33)
+        r1, r2 = region_boundary_samples(kind, *CH13, 33)
         assert (r1[0], r2[0]) == pytest.approx((1.0, 0.0), abs=1e-12)
         assert np.all(np.diff(r1) <= 1e-12)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            region_boundary_samples("bogus", CH13, 10)
+            region_boundary_samples("bogus", *CH13, 10)
         with pytest.raises(ValueError):
-            region_boundary_samples("tdma", CH13, 1)
+            region_boundary_samples("tdma", *CH13, 1)

@@ -39,6 +39,16 @@ MUTANTS = [
     ("src/noma_tdma/analytic.py",
      "EventProbabilities(float(bdtr(cfg.m - 1, cfg.M, q)),",
      "EventProbabilities(float(1.0 - bdtrc(cfg.m - 1, cfg.M, q)),"),
+    # no check that the four closed forms sum to 1
+    ("src/noma_tdma/analytic.py",
+     "    if abs(total - 1.0) > 1e-9:\n"
+     "        raise InconsistencyError("
+     "f\"probabilities sum to {total}, not 1\")\n",
+     ""),
+    # the oracle's sum window as tight as the closed forms', not 10 * tol
+    ("src/noma_tdma/quadrature.py",
+     "abs(totals.sum() - 1.0) > 10.0 * tol",
+     "abs(totals.sum() - 1.0) > 1e-9"),
     # the oracle's panel edges at the jumps of the E1 mass
     ("src/noma_tdma/quadrature.py",
      "np.union1d(np.linspace(0.0, 1.0, 9),\n"
@@ -48,6 +58,14 @@ MUTANTS = [
     ("src/noma_tdma/quadrature.py",
      "bulk = (np.arange(64) + 0.5) / 64",
      "bulk = (np.arange(32) + 0.5) / 32"),
+    # a channel pair with x = y, which is not degraded
+    ("src/noma_tdma/regions.py",
+     "if not 0.0 < x < y < math.inf:",
+     "if not 0.0 < x <= y < math.inf:"),
+    # a marked split with more than half the power to the strong user
+    ("src/noma_tdma/cli.py",
+     "if not 0.0 <= a2 <= 0.5:",
+     "if not 0.0 <= a2 <= 1.0:"),
     # a tie tolerance far above rounding
     ("src/noma_tdma/events.py",
      "TIE_TOL = 1e-12",
