@@ -31,7 +31,7 @@ BLOCK_SIZE = 1 << 16
 CHUNK = 1 << 13
 
 #: identifier of the RNG scheme, recorded in run manifests
-RNG_SCHEME = "sfc64-seedseq-blocks-v4"
+RNG_SCHEME = "sfc64-seedseq-blocks-v5"
 
 
 @dataclass(frozen=True)

@@ -104,15 +104,17 @@ def marginal_cdf_n(t, cfg: PairingConfig):
     return float(out) if out.ndim == 0 else out
 
 
-#: spacing runs at least this long are drawn as a gamma ratio, shorter ones
-#: as a sum of exponentials.  Per 65,536 draws into reused rows on a 2-core
-#: x86-64 KVM guest (numpy 2.4.6, SFC64; median of 60 interleaved rounds),
-#: a sum of k exponentials takes ~0.39*k ms and the ratio of two gammas
-#: ~3.0 ms (~2.0 ms when the denominator shape is 1), so the sum is the
-#: cheaper up to k = 7 when that shape is above 1, up to k = 5 when it is 1,
-#: and 6 sits between.  The value fixes which draws a block makes, so it is
-#: part of `montecarlo.RNG_SCHEME`.
-GAMMA_RUN = 6
+#: spacing runs with a > 1 at least this long are drawn as a gamma ratio,
+#: shorter ones as a sum of exponentials.  Per 65,536 draws into reused rows
+#: on a 2-core x86-64 KVM guest (numpy 2.4.6, SFC64; median of 60
+#: interleaved rounds at a in {5, 190}), a sum of k exponentials takes
+#: ~0.36*k ms (2.52 ms at k = 7, 2.90 ms at k = 8) and the ratio of two
+#: gammas ~2.75 ms, so the sum is the cheaper up to k = 7.  Runs with a = 1
+#: and k >= 2 are drawn by inversion instead (`_log_beta_draw`), ~0.7 ms
+#: where their gamma ratio took ~1.9 ms; a single spacing stays one
+#: exponential.  The value fixes which draws a block makes, so it is part
+#: of `montecarlo.RNG_SCHEME`.
+GAMMA_RUN = 8
 
 
 def _log_beta_draw(rng: np.random.Generator, shape: tuple[int, int],
@@ -122,10 +124,34 @@ def _log_beta_draw(rng: np.random.Generator, shape: tuple[int, int],
     `scratch`, of the same size, is overwritten.
 
     This is the sum of b consecutive Renyi spacings, exponentials with means
-    rho/(a+b-1), ..., rho/a.  A run of b >= GAMMA_RUN spacings is drawn as
-    rho*log1p(G_b/G_a) from two gamma draws instead, since B = G_a/(G_a+G_b).
+    rho/(a+b-1), ..., rho/a.  With a = 1 and b > 1, B = 1 - U^(1/b) for
+    U ~ Uniform[0, 1) (Devroye 1986), one uniform per draw; with a > 1, a
+    run of b >= GAMMA_RUN spacings is drawn as rho*log1p(G_b/G_a) from two
+    gamma draws, since B = G_a/(G_a+G_b); any other run is summed.
     """
     a, b = shape
+    if a == 1 and b > 1:
+        # B = 1 - w for w = U^(1/b) = e^t.  log B is log(-expm1(t)) where
+        # w >= 1/2 and log1p(-w) where w <= 1/2 (Maechler's log1mexp), so
+        # that both ends keep their digits.  Branch-free, it is
+        # log(min(2B, 1)) + log1p(-min(w, 1/2)): log(2B) + log(1/2) above
+        # w = 1/2, 0 + log1p(-w) below.  U = 0 gives -rho*log B = 0, so
+        # y = x, which sample_pairs redraws
+        rng.random(out=out)
+        with np.errstate(divide="ignore"):
+            np.log(out, out=out)
+        out /= b
+        np.exp(out, out=scratch)
+        np.expm1(out, out=out)
+        out *= -2.0
+        np.minimum(out, 1.0, out=out)
+        np.log(out, out=out)
+        np.minimum(scratch, 0.5, out=scratch)
+        np.negative(scratch, out=scratch)
+        np.log1p(scratch, out=scratch)
+        out += scratch
+        out *= -rho
+        return
     if b >= GAMMA_RUN:
         rng.standard_gamma(b, out=out)
         out /= rng.standard_gamma(a, out=scratch)
@@ -149,9 +175,9 @@ def sample_pairs(cfg: PairingConfig, rng: np.random.Generator, size: int,
     rho/(M-k).  x sums the first m spacings and y - x the next n-m, so
     x = -rho*log(u) and y - x = -rho*log(s) with u ~ Beta(cfg.u_shape) and
     s ~ Beta(cfg.s_shape); each is drawn by `_log_beta_draw`, x first.  A
-    pair costs at most 2*(GAMMA_RUN-1) draws, whatever M and n, and no
-    sort.  A row with y <= x can only come from x + (y - x) rounding to x;
-    such rows are redrawn.
+    pair costs at most 2*(GAMMA_RUN-1) = 14 draws, whatever M and n, and
+    no sort; with n = M, y - x takes one draw.  A row with y <= x can only
+    come from x + (y - x) rounding to x; such rows are redrawn.
 
     `out`, a float64 array of shape (3, >= size), receives x and y in the
     first `size` entries of its rows 0 and 1 (row 2 is scratch), and x and y

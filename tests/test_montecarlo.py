@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from noma_tdma import montecarlo
 from noma_tdma.analytic import p_eps2_special
-from noma_tdma.events import classify_many, optimal_a2_special
+from noma_tdma.events import classify_many, e2_threshold, optimal_a2_special
 from noma_tdma.montecarlo import (
     BLOCK_SIZE,
     AverageRates,
@@ -135,6 +135,22 @@ class TestEventEstimates:
         expect = p_eps2_special(10, 0.5)
         assert abs(est.p2 - expect) <= 3.0 * max(est.stderr[1], 1e-6)
 
+    @pytest.mark.parametrize("M", [2, 3, 10, 200])
+    def test_extreme_pairing_against_p_eps2_special(self, M):
+        # an outside witness for the draw of y - x, which at n = M is one
+        # uniform by inversion (one exponential at M = 2): P(E2) at (M, 1, M)
+        # is 1 - (1-d)^M - d^M for d = F(w2), and rho puts P(y < w2) = d^M
+        # at 1/2, where P(E2) rests on the law of y
+        a2 = 0.25
+        w2 = e2_threshold(a2)
+        rho = -w2 / math.log1p(-0.5 ** (1.0 / M))
+        trials = 4 * BLOCK_SIZE
+        est = estimate_event_probs(PairingConfig(M, 1, M, rho), a2, 0.5,
+                                   McConfig(trials=trials, seed=31))
+        expect = p_eps2_special(M, -math.expm1(-w2 / rho))
+        assert abs(est.p2 - expect) <= 6.0 * max(
+            est.stderr[1], math.sqrt(expect * (1.0 - expect) / trials))
+
     def test_stderr_scales_with_trials(self):
         small = estimate_event_probs(CFG, A2, 0.5, McConfig(trials=20_000))
         large = estimate_event_probs(CFG, A2, 0.5, McConfig(trials=180_000))
@@ -179,8 +195,11 @@ def _plain_estimates(cfg, a2, b2, trials, seed):
 class TestLanesAndChunks:
     @pytest.mark.parametrize("shards", [1, 2, 5])
     @pytest.mark.parametrize("trials", [1000, 3 * BLOCK_SIZE + 1234])
-    @pytest.mark.parametrize("cfg", [CFG, PairingConfig(200, 1, 200, RHO25)],
-                             ids=["sums", "gamma"])
+    # y - x is a sum of exponentials, one uniform by inversion, and a gamma
+    # ratio with a > 1
+    @pytest.mark.parametrize("cfg", [CFG, PairingConfig(200, 1, 200, RHO25),
+                                     PairingConfig(200, 1, 190, RHO25)],
+                             ids=["sums", "inversion", "gamma"])
     def test_bit_identical_to_plain_definition(self, cfg, trials, shards):
         # 1,000 trials is below CHUNK; 5 shards ask for more lanes than the
         # 4 blocks
@@ -213,6 +232,26 @@ class TestLanesAndChunks:
             "0x1.6d863e3f9b8a5p+1", "0x1.0a82e5d3ceee0p+2",
             "0x1.b4f4fdabf8a57p-11", "0x1.45b7bbe8d8668p-10",
             "0x1.49ecf428215f5p-10", "0x1.5963406413bbfp-11"]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_pinned_inversion_output(self, shards):
+        # (10,1,10): y - x is one uniform by inversion
+        mc = McConfig(trials=3 * BLOCK_SIZE + 17, seed=21, shards=shards)
+        cfg = PairingConfig(10, 1, 10, RHO25)
+        est = estimate_event_probs(cfg, A2, 0.5, mc)
+        avg = estimate_average_rates(cfg, A2, 0.5, mc)
+        assert [float(v).hex() for v in est.as_tuple() + est.stderr] == [
+            "0x1.fff4aaeae2225p-14", "0x1.fd6964001eaa0p-1",
+            "0x1.40a391b670f63p-8", "0x1.554dc747416c3p-15",
+            "0x1.a1fc0e5508701p-16", "0x1.4f6a81ff356e3p-13",
+            "0x1.49fff3d5294d8p-13", "0x1.e2aaab303a49ap-17"]
+        assert [float(v).hex() for v in (avg.r1_noma, avg.r2_noma,
+                                         avg.r1_tdma, avg.r2_tdma)
+                + avg.stderr] == [
+            "0x1.8bb531de73fabp+1", "0x1.6738e1a51136bp+2",
+            "0x1.1576cd330a38bp+1", "0x1.37825eb5380fap+2",
+            "0x1.e7452043943d4p-10", "0x1.58bb401a0ed50p-10",
+            "0x1.caf479cbb81c3p-10", "0x1.603c15dca2c33p-11"]
 
     @pytest.mark.parametrize("estimate,rows", [
         (estimate_event_probs, 3),  # x, y and the sampler's scratch
@@ -271,9 +310,10 @@ class TestAverageRates:
             (b.r1_noma, b.r2_noma, b.r1_tdma, b.r2_tdma)
 
     def test_gamma_runs_are_shard_invariant(self):
-        # y - x is a run of 199 spacings, drawn as a gamma ratio; every
-        # draw reaches the means, so any change in the sample set shows
-        cfg = PairingConfig(200, 1, 200, RHO25)
+        # y - x is a run of 189 spacings with a = 11, drawn as a gamma
+        # ratio; every draw reaches the means, so any change in the sample
+        # set shows
+        cfg = PairingConfig(200, 1, 190, RHO25)
         a = estimate_average_rates(cfg, A2, 0.5, McConfig(
             trials=3 * BLOCK_SIZE + 1234, seed=7, shards=1))
         b = estimate_average_rates(cfg, A2, 0.5, McConfig(

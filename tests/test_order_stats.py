@@ -157,16 +157,20 @@ class TestSampler:
 
     def test_rounded_ties_are_redrawn(self):
         class ZeroRunFirst:
-            """Draws 1, except 0 on the listed calls of the first pass, which
-            make every first pair's y - x zero, so y == x."""
+            """Draws 1 (1/2 for a uniform), except 0 on the listed calls of
+            the first pass, which make every first pair's y - x zero, so
+            y == x."""
 
             def __init__(self, zero):
                 self.zero, self.calls = zero, 0
 
-            def _draw(self, out):
+            def _draw(self, out, value=1.0):
                 self.calls += 1
-                out[...] = 0.0 if self.calls in self.zero else 1.0
+                out[...] = 0.0 if self.calls in self.zero else value
                 return out
+
+            def random(self, out):
+                return self._draw(out, 0.5)
 
             def standard_exponential(self, out):
                 return self._draw(out)
@@ -177,8 +181,8 @@ class TestSampler:
         for cfg, zero, per_pass in [
             # x then y - x as sums of exponentials: draws 3-7 are y - x
             (PairingConfig(10, 2, 7, 100.0), {3, 4, 5, 6, 7}, 7),
-            # x one exponential, y - x the gamma ratio G_9/G_1: draw 2 is G_9
-            (PairingConfig(10, 1, 10, 100.0), {2}, 3),
+            # x one exponential, y - x one uniform by inversion: draw 2 is U
+            (PairingConfig(10, 1, 10, 100.0), {2}, 2),
             # both runs gamma ratios: draw 3 is the numerator of y - x
             (PairingConfig(20, 8, 16, 100.0), {3}, 4),
         ]:

@@ -55,8 +55,9 @@ def test_regions_see_a_wrong_slope(monkeypatch):
 
 
 def test_chi_square_sees_a_wrong_long_run(monkeypatch):
-    # a run of b >= GAMMA_RUN spacings is -rho log B, B ~ Beta(a, b) =
-    # G_a/(G_a + G_b); drawing G_(b+1) instead shifts only that factor
+    # a run of b spacings is -rho log B, B ~ Beta(a, b) = G_a/(G_a + G_b);
+    # drawing G_(b+1) instead, for both long runs (inversion at a = 1, the
+    # gamma ratio at a = 3), shifts only that factor
     def wrong_shape(cfg, rng, size):
         x, y = sample_pairs(cfg, rng, size)
         a, b = cfg.s_shape
@@ -68,4 +69,5 @@ def test_chi_square_sees_a_wrong_long_run(monkeypatch):
     monkeypatch.setattr(validation, "sample_pairs", wrong_shape)
     records = {r["check"]: r for r in validation.check_orderstats(0)}
     assert not records.pop("sampler_joint_chi_square_long_run")["passed"]
+    assert not records.pop("sampler_joint_chi_square_gamma_run")["passed"]
     assert all(r["passed"] for r in records.values())

@@ -79,10 +79,15 @@ MUTANTS = [
     ("src/noma_tdma/order_stats.py",
      "return self.M - self.m + 1, self.m",
      "return self.m, self.M - self.m + 1"),
-    # the sampler's sum-to-gamma switch at runs of 3 spacings, not 6
+    # the sampler's sum-to-gamma switch at runs of 3 spacings, not 8
     ("src/noma_tdma/order_stats.py",
-     "GAMMA_RUN = 6",
+     "GAMMA_RUN = 8",
      "GAMMA_RUN = 3"),
+    # the inversion draw of a Beta(1, b) run as 1 - U^(1/(b+1)), which is
+    # Beta(1, b+1)
+    ("src/noma_tdma/order_stats.py",
+     "        out /= b\n",
+     "        out /= b + 1\n"),
     # average-rate sums taken about 0, not about each block's first draw
     ("src/noma_tdma/montecarlo.py",
      "shift = rates[:, 0].copy()",
