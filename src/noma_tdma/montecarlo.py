@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +112,9 @@ def _run_blocks(fn, mc: McConfig, rows: int) -> list:
 
     if lanes == 1:
         return lane(0)
-    futures = [_pool(workers).submit(lane, i) for i in range(lanes)]
-    wait(futures)
     out = [None] * len(blocks)
-    for i, f in enumerate(futures):
-        out[i::lanes] = f.result()
+    for i, results in enumerate(_pool(workers).map(lane, range(lanes))):
+        out[i::lanes] = results
     return out
 
 

@@ -6,24 +6,27 @@ square, where u ~ Beta(cfg.u_shape) and s ~ Beta(cfg.s_shape) are
 independent (see `order_stats.joint_pdf`).
 
 For a fixed u the weak-user SNR x is fixed, so the event label along the
-s-direction changes at a handful of points only; those are located by
-bisection on the (black-box) classifier and the mass of each labelled
-segment is a difference of the Beta(s_shape) CDF `betainc`.  The outer
-u-integral against the Beta(u_shape) density, `order_stats.beta_logpdf`,
-is done by `analytic._integrate`, the adaptive Gauss-Legendre rule of the
-closed-form P(E4) integral, with the four event masses as one vector
-integrand; its panels are refined near the kinks the event boundaries
-induce.  Its one jump, where x crosses the E1 threshold and a column goes
-from holding no E1 to being all E1, is found first and made a starting
-panel edge, since a panel's error estimate does not see a jump inside it.
+s-direction changes at a handful of points only.  One routine, `_cuts`,
+finds the label changes along each row of a sampled grid and bisects them
+on the (black-box) classifier.  A u-column's masses are then telescoped:
+all of its Beta(s_shape) mass starts on its last label, and a cut at CDF
+value F (`betainc`) moves F from the label on its right to the one on its
+left.  The outer u-integral against the Beta(u_shape) density,
+`order_stats.beta_logpdf`, is done by `analytic._integrate`, the adaptive
+Gauss-Legendre rule of the closed-form P(E4) integral, with the four event
+masses as one vector integrand; its panels are refined near the kinks the
+event boundaries induce.  Its one jump, where x crosses the E1 threshold
+and a column goes from holding no E1 to being all E1, is cut by the same
+routine on a one-row u-grid and made a starting panel edge, since a
+panel's error estimate does not see a jump inside it.
 
 Each cut is bisected only as far as the tol needs.  A cut is left at the
 midpoint of its bracket, and a bracket of width w moves at most peak * w of
-L1 mass in its column, where peak is the largest value of the Beta density
-along the bisected direction.  So the brackets of a refinement level stop
-at _CUT_SHARE * tol / (c * peak of Beta(s_shape)), with c the most cuts in
-one of its columns, and the E1 jumps at _CUT_SHARE * tol / (jumps * peak
-of Beta(u_shape)); as the u-weights integrate to 1, cut placement adds at
+L1 mass in its row, where peak is the largest value of the Beta density
+along the bisected direction.  So `_cuts` stops every bracket at
+_CUT_SHARE * tol / (c * peak), with c the most cuts in one row: the
+columns of a refinement level against Beta(s_shape), the E1 jumps against
+Beta(u_shape).  As the u-weights integrate to 1, cut placement adds at
 most _CUT_SHARE * tol to the summed error, and the u-integral is run at
 the remaining (1 - _CUT_SHARE) * tol.  A bracket that reaches adjacent
 floats first stops there.
@@ -78,44 +81,42 @@ def _beta_peak(a: int, b: int) -> float:
     return float(np.exp(beta_logpdf(np.log(mode), np.log1p(-mode), (a, b))))
 
 
-def _bisect(lo: np.ndarray, hi: np.ndarray, left_label: np.ndarray,
-            label: Callable[[np.ndarray], np.ndarray],
-            stop: float) -> np.ndarray:
-    """Bisect every bracket (lo, hi) on its label change until each is no
-    wider than stop or sits on adjacent floats, and return their midpoints;
-    lo keeps left_label.
-    `label` maps a (brackets x points) array to its labels, one row per
-    bracket.  One call labels the depth-_BISECT_LEVELS bisection tree below
-    each bracket, which is then walked level by level (label(mid) ==
-    left_label -> lo = mid), so the points visited and the cuts returned
-    are those of one halving per call.  Raises ConvergenceError if a
-    bracket is still open after _BISECT_ITERS halvings."""
-    rows = np.arange(lo.size)
+def _cuts(grid: np.ndarray, labels: np.ndarray,
+          label: Callable[[np.ndarray, np.ndarray], np.ndarray],
+          cut_tol: float, peak: float):
+    """Cut every label change along the rows of `labels`, sampled on grid,
+    and return (row, k, cuts): the change from labels[row, k] to
+    labels[row, k + 1] is cut at cuts, the midpoint of a bracket no wider
+    than cut_tol / (most cuts in one row * peak) or on adjacent floats.
+    `label(row, t)` labels the (changes x points) array t, row i of it
+    along row[i] of `labels`.  One call labels the depth-_BISECT_LEVELS
+    bisection tree below each bracket, which is then walked level by
+    level; raises ConvergenceError if a bracket is still open after
+    _BISECT_ITERS halvings."""
+    row, k = np.nonzero(labels[:, 1:] != labels[:, :-1])
+    left_label = labels[row, k]
+    stop = cut_tol / (np.bincount(row).max(initial=1) * peak)
+    lo, hi = grid[k], grid[k + 1]
+    brackets = np.arange(k.size)
     width = 2**_BISECT_LEVELS
-    calls = _BISECT_ITERS // _BISECT_LEVELS
-    for call in range(calls + 1):
+    steps = np.arange(width + 1) / width
+    for halvings in range(0, _BISECT_ITERS + 1, _BISECT_LEVELS):
         mid = 0.5 * (lo + hi)
         # a bracket between adjacent floats no longer moves, whatever stop
         if ((hi - lo <= stop) | (mid == lo) | (mid == hi)).all():
-            return mid
-        if call == calls:
+            return row, k, mid
+        if halvings == _BISECT_ITERS:
             break
-        tree = np.empty((lo.size, width + 1))
-        tree[:, 0] = lo
-        tree[:, width] = hi
-        step = width
-        while step > 1:
-            half = step // 2
-            tree[:, half::step] = 0.5 * (tree[:, :-1:step] + tree[:, step::step])
-            step = half
-        labels = label(tree[:, 1:-1])
-        left = np.zeros(lo.size, dtype=np.intp)
+        tree = lo[:, None] + (hi - lo)[:, None] * steps
+        tree[:, -1] = hi
+        tree_labels = label(row, tree[:, 1:-1])
+        left = np.zeros(k.size, dtype=np.intp)
         half = width // 2
         while half:
-            left[labels[rows, left + half - 1] == left_label] += half
+            left[tree_labels[brackets, left + half - 1] == left_label] += half
             half //= 2
-        lo = tree[rows, left]
-        hi = tree[rows, left + 1]
+        lo = tree[brackets, left]
+        hi = tree[brackets, left + 1]
     raise ConvergenceError(
         f"bisection cap of {_BISECT_ITERS} halvings reached with a bracket "
         f"{float((hi - lo).max()):.3e} wide, above its stop {stop:.3e}")
@@ -123,24 +124,18 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, left_label: np.ndarray,
 
 def _e1_jumps(cfg: PairingConfig, a2: float, b2: float,
               cut_tol: float) -> np.ndarray:
-    """The u at which a column starts or stops holding E1.
-
-    E1 (R1N < R1T) is decided by x alone, so a u-column is either all E1
-    or holds none, and its E1 mass jumps where membership changes; the
-    other events only change through kinks.  Membership is read at s = 1/2
-    on the u-grid _SPROBES, and each change is bisected until the jumps
-    together move at most cut_tol of L1 mass."""
+    """The u at which a u-column starts or stops holding E1.  E1 (R1N <
+    R1T) is decided by x alone, so a column is all E1 or holds none, and
+    its E1 mass jumps where membership, read at s = 1/2, changes."""
     rho = cfg.rho
 
     def holds_e1(u: np.ndarray) -> np.ndarray:
         x = -rho * np.log(u)
         return classify_many(x, x + rho * math.log(2.0), a2, b2) == 1
 
-    u = _SPROBES
-    e1 = holds_e1(u)
-    k = np.flatnonzero(e1[1:] != e1[:-1])
-    stop = cut_tol / (max(k.size, 1) * _beta_peak(*cfg.u_shape))
-    return _bisect(u[k], u[k + 1], e1[k], holds_e1, stop)
+    return _cuts(_SPROBES, holds_e1(_SPROBES)[None],
+                 lambda row, u: holds_e1(u), cut_tol,
+                 _beta_peak(*cfg.u_shape))[2]
 
 
 def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
@@ -151,34 +146,21 @@ def _column_masses(us: np.ndarray, cfg: PairingConfig, a2: float,
     rho = cfg.rho
     x = -rho * np.log(us)
 
-    s = _SPROBES
-    labels = classify_many(x[:, None], x[:, None] - rho * np.log(s), a2, b2)
+    def label(row: np.ndarray, s: np.ndarray) -> np.ndarray:
+        xr = x[row, None]
+        return classify_many(xr, xr - rho * np.log(s), a2, b2)
 
-    # brackets ordered by column, then by s within a column
-    col, k = np.nonzero(labels[:, 1:] != labels[:, :-1])
-    left_label = labels[col, k]
-    # column c splits (0,1) into one more segment than it has cuts; the i-th
-    # cut (in column col[i]) closes segment i + col[i] and opens the next
-    n_seg = np.bincount(col, minlength=x.size) + 1
-    stop = cut_tol / (max(n_seg.max() - 1, 1) * _beta_peak(*cfg.s_shape))
-    xb = x[col, None]
-    cuts = _bisect(s[k], s[k + 1], left_label,
-                   lambda sb: classify_many(xb, xb - rho * np.log(sb), a2, b2),
-                   stop)
-
-    seg_col = np.repeat(np.arange(x.size), n_seg)
-    closes = np.arange(col.size) + col
+    cols = np.arange(x.size)
+    labels = label(cols, _SPROBES)
+    row, k, cuts = _cuts(_SPROBES, labels, label, cut_tol,
+                         _beta_peak(*cfg.s_shape))
+    # all of a column's mass starts on its last label; a cut at CDF value F
+    # moves F from the label on its right to the label on its left
     cdf = betainc(*cfg.s_shape, cuts)
-    upper = np.ones(seg_col.size)
-    upper[closes] = cdf
-    lower = np.zeros(seg_col.size)
-    lower[closes + 1] = cdf
-    seg_labels = np.repeat(labels[:, -1], n_seg)
-    seg_labels[closes] = left_label
-
     masses = np.zeros((x.size, 4))
-    # unbuffered and in index order, so each row sums its segments in s order
-    np.add.at(masses, (seg_col, seg_labels - 1), upper - lower)
+    masses[cols, labels[:, -1] - 1] = 1.0
+    np.add.at(masses, (row, labels[row, k] - 1), cdf)
+    np.subtract.at(masses, (row, labels[row, k + 1] - 1), cdf)
     return masses
 
 

@@ -20,6 +20,9 @@ AGREEMENT_RHO_DB = [20.0, 25.0, 30.0]
 #: every closed-form value of the grid at once: the 3-sigma normal coverage
 MC_CONFIDENCE = 0.9973
 
+#: cells per axis of the sampler's chi-square grid over (u, s)
+_CHI_SQUARE_GRID = 8
+
 
 def binomial_interval(successes: int, trials: int,
                       confidence: float = 0.95) -> tuple[float, float]:
@@ -197,14 +200,14 @@ def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
     return records
 
 
-def _chi_square_pvalue(x: np.ndarray, y: np.ndarray, cfg: PairingConfig,
-                       grid: int = 8) -> float:
+def _chi_square_pvalue(x: np.ndarray, y: np.ndarray,
+                       cfg: PairingConfig) -> float:
     """Chi-square of sampled (x, y) on a grid over (u, s) = (exp(-x/rho),
     exp(-(y-x)/rho)) against the cell masses of the independent Beta laws of
     u and s; low-count cells are pooled."""
     u = np.exp(-x / cfg.rho)
     s = np.exp(-(y - x) / cfg.rho)
-    edges = np.linspace(0.0, 1.0, grid + 1)
+    edges = np.linspace(0.0, 1.0, _CHI_SQUARE_GRID + 1)
     observed = np.histogram2d(u, s, bins=(edges, edges))[0]
     expected = len(x) * np.outer(np.diff(betainc(*cfg.u_shape, edges)),
                                  np.diff(betainc(*cfg.s_shape, edges)))
@@ -256,19 +259,4 @@ def check_probabilities(seed: int, trials: int = 1_000_000,
                 "probabilities", f"three_way_m{m}_n{n}_rho{rho_db:g}dB", ok,
                 f"|closed-quad| = {dq:.2e}, closed beyond the MC "
                 f"{confidence:.4%} interval by {dmc:.2e}"))
-    return records
-
-
-SUITES = {
-    "propositions": check_propositions,
-    "regions": check_regions,
-    "orderstats": check_orderstats,
-    "probabilities": check_probabilities,
-}
-
-
-def run_suites(names, seed: int) -> list[dict]:
-    records = []
-    for name in names:
-        records.extend(SUITES[name](seed))
     return records

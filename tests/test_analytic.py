@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.special import bdtrc, betaln
+from scipy.stats import beta as beta_dist
 
 from noma_tdma import analytic, quadrature
 from noma_tdma.analytic import (
@@ -405,7 +406,7 @@ def test_small_probabilities_keep_relative_accuracy(M, m, n, rho_db, a2):
 _QUAD_PINS = [
     (PairingConfig(6, 2, 5, 100.0), 0.2, 0.3, 1e-5,
      ("0x1.fd94f86b66f88p-1", "0x1.358397e138c7bp-8",
-      "0x1.6466c891f5a5ap-27", "0x1.779c79c78bc52p-30")),
+      "0x1.6466c891f61bap-27", "0x1.779c79c78bc52p-30")),
     (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
      ("0x1.05f266cc85f7cp-4", "0x1.f59a8265934d3p-4",
       "0x1.a07d27dbd7064p-1", "0x1.13afde5d11600p-13")),
@@ -507,6 +508,41 @@ class TestQuadratureOracle:
         # bisected only as far as the tol needs, not onto adjacent floats
         # (65 calls)
         assert len(shapes) <= 40
+
+    def test_s_cuts_stop_at_their_share_of_the_tol(self, monkeypatch):
+        # a level's s-brackets stop at _CUT_SHARE * tol / (c * peak), c the
+        # most cuts in one of its columns and peak the Beta(s_shape) density
+        # at its mode; here c = 3 and peak = 6, and a stop without either
+        # leaves brackets wider than that
+        calls = []
+
+        def recording(x, y, *args, **kwargs):
+            labels = classify_many(x, y, *args, **kwargs)
+            calls.append((np.broadcast_to(x, np.shape(y)), np.asarray(y),
+                          labels))
+            return labels
+
+        monkeypatch.setattr(quadrature, "classify_many", recording)
+        cfg, tol = PairingConfig(10, 4, 5, RHO25), 1e-6
+        event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25), tol=tol)
+        a, b = cfg.s_shape
+        peak = beta_dist(a, b).pdf((a - 1) / (a + b - 2))
+        (probes,) = calls[0][1].shape
+        scans = [i for i, (_, y, _) in enumerate(calls)
+                 if y.shape[1:] == (probes,)]
+        assert len(scans) >= 2
+        for scan, end in zip(scans, scans[1:] + [len(calls)]):
+            labels = calls[scan][2]
+            cuts = (labels[:, 1:] != labels[:, :-1]).sum(axis=1).max()
+            assert cuts >= 2 and end >= scan + 2
+            # the last call labels the 15 inner points of the bisection
+            # tree below each bracket, a 16th of its width apart
+            x, y, _ = calls[end - 1]
+            s = np.exp((x - y) / cfg.rho)
+            width = (s[:, -1] - s[:, 0]) / 14.0
+            stop = quadrature._CUT_SHARE * tol / (cuts * peak)
+            # s is read back from y, to about 1e-5 of a bracket
+            assert width.max() <= 1.001 * stop
 
     def test_bisection_cap_raises(self, monkeypatch):
         # one call of 4 halvings leaves the brackets ~1/1024 wide, far

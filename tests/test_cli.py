@@ -409,9 +409,10 @@ class TestPublicApi:
         assert rc == EXIT_NO_CONVERGENCE
         assert "bisection cap" in capsys.readouterr().err
 
-    def test_validate_suite_names(self):
+    def test_validate_suites_resolve_to_checks(self):
         from noma_tdma import validation
-        assert VALIDATE_SUITES == tuple(validation.SUITES)
+        for name in VALIDATE_SUITES:
+            assert callable(getattr(validation, f"check_{name}", None)), name
 
 
 class TestExitCodes:

@@ -123,9 +123,12 @@ class TestEventEstimates:
         # 64 (seed, block) streams, (s, b) and (b, s) among them: a dropped
         # spawn key (8 streams), a symmetric mix such as seed + block, or
         # streams that overlap within their first 256 outputs (leading
-        # draws included) repeat values
-        raw = [montecarlo._block_rng(seed, block).bit_generator.random_raw(256)
-               for seed in range(8) for block in range(8)]
+        # draws included) repeat values; each stream is the documented
+        # Generator(SFC64(SeedSequence(seed, spawn_key=(block,))))
+        streams = [np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(block,))))
+            for seed in range(8) for block in range(8)]
+        raw = [rng.bit_generator.random_raw(256) for rng in streams]
         assert len(set(np.concatenate(raw).tolist())) == 64 * 256
 
     def test_special_case_within_three_stderr(self):

@@ -54,6 +54,15 @@ MUTANTS = [
      "np.union1d(np.linspace(0.0, 1.0, 9),\n"
      "                       _e1_jumps(cfg, a2, b2, cut_tol))",
      "np.linspace(0.0, 1.0, 9)"),
+    # the oracle's cut stop without the most cuts in one row
+    ("src/noma_tdma/quadrature.py",
+     "stop = cut_tol / (np.bincount(row).max(initial=1) * peak)",
+     "stop = cut_tol / peak"),
+    # the s-cut stop without the Beta(s_shape) peak
+    ("src/noma_tdma/quadrature.py",
+     "_cuts(_SPROBES, labels, label, cut_tol,\n"
+     "                         _beta_peak(*cfg.s_shape))",
+     "_cuts(_SPROBES, labels, label, cut_tol, 1.0)"),
     # half the oracle's bulk s-probes
     ("src/noma_tdma/quadrature.py",
      "bulk = (np.arange(64) + 0.5) / 64",
