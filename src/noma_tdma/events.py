@@ -71,12 +71,14 @@ _REDUCED_CONDITIONS = [(-1, +1, None), (+1, +1, None), (None, -1, +1),
 
 def _label_table(conditions) -> np.ndarray:
     """Event id for each of the 27 sign triples, indexed by the code
-    9*s1 + 3*s2 + s3 + 13; 0 where no event matches."""
+    s1 + 3*s2 + 9*s3 in -13..13, a negative code counting from the end;
+    0 where no event matches."""
     table = np.zeros(27, dtype=np.int8)
-    for code, signs in enumerate(itertools.product((-1, 0, 1), repeat=3)):
+    for s1, s2, s3 in itertools.product((-1, 0, 1), repeat=3):
         for event, required in enumerate(conditions, start=1):
-            if all(r is None or s in (0, r) for s, r in zip(signs, required)):
-                table[code] = event
+            if all(r is None or s in (0, r)
+                   for s, r in zip((s1, s2, s3), required)):
+                table[s1 + 3 * s2 + 9 * s3] = event
                 break
     return table
 
@@ -112,10 +114,12 @@ def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:
 
     All four arguments broadcast against each other; scalar arguments give
     a 0-d array.  Each comparison, h(x), -h(y) or h(x) - h(y), becomes a
-    sign in {-1, 0, +1} (0 within TIE_TOL BPCU), and the sign triple is
-    looked up in a 27-entry table derived from the condition tables.  The
-    reduced table is written independently of the full one, so agreement
-    between the two is a genuine check of the underlying boundary geometry.
+    sign in {-1, 0, +1} (0 within TIE_TOL BPCU), the three signs are
+    summed in place into one int8 code, and the code is looked up in a
+    27-entry table derived from the condition tables.  The reduced table is
+    written independently of the full one, so agreement between the two is
+    a genuine check of the underlying boundary geometry.  A NaN margin
+    h(x) - h(y), from a NaN or infinite x or y, raises ClassificationError.
     """
     a2 = np.asarray(a2, dtype=np.float64)
     b2 = np.asarray(b2, dtype=np.float64)
@@ -127,11 +131,25 @@ def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     hx, hy = (b2 * np.log1p(v) - np.log1p(a2 * v) for v in (x, y))
-    s1, s2, s3 = (np.subtract(d > _TIE_NATS, d < -_TIE_NATS, dtype=np.int8)
-                  for d in (hx, -hy, hx - hy))
-    code = 9 * s1 + 3 * s2 + s3 + 13
+    d = hx - hy
+    # a NaN margin fails every sign comparison, so it would read as a tie;
+    # the margins of finite x and y are finite, and so is their sum
+    if math.isnan(d.sum()):
+        raise ClassificationError("NaN margin: x or y is NaN or infinite")
+    # code = s1 + 3*s2 + 9*s3 built as (s3*3 + s2)*3 + s1, with s2 the
+    # sign of -h(y), each bool read as an int8 0 or 1; d has the full
+    # broadcast shape, and asarray keeps a 0-d code an array to update
+    code = np.asarray(d > _TIE_NATS).view(np.int8)
+    code -= (d < -_TIE_NATS).view(np.int8)
+    code *= 3
+    code += (hy < -_TIE_NATS).view(np.int8)
+    code -= (hy > _TIE_NATS).view(np.int8)
+    code *= 3
+    code += (hx > _TIE_NATS).view(np.int8)
+    code -= (hx < -_TIE_NATS).view(np.int8)
     table = _REDUCED_TABLE if reduced else _FULL_TABLE
-    out = np.asarray(table[code])
+    # an intp index looks up ~2.5x faster than an int8 one
+    out = np.asarray(table[code.astype(np.intp)])
     if not out.all():
         raise ClassificationError("unclassified samples encountered")
     return out

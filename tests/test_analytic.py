@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad, quad
-from scipy.special import bdtrc, betaln
+from scipy.special import bdtrc, betainc, betaln
 from scipy.stats import beta as beta_dist
 
 from noma_tdma import analytic, quadrature
@@ -299,6 +299,16 @@ class TestEps3AndDistribution:
             event_probabilities_closed(PairingConfig(10, 2, 7, RHO25),
                                        1.0 / math.sqrt(RHO25))
 
+    def test_value_just_outside_unit_interval_is_rejected(self, monkeypatch):
+        # P(E3) = P(K >= n) - P(E4) with P(E4) 1e-6 too large lands 1e-6
+        # below 0: past the clamp's slack, which is for rounding only
+        cfg, a2 = PairingConfig(10, 2, 7, RHO25), 1.0 / math.sqrt(RHO25)
+        probs = event_probabilities_closed(cfg, a2)
+        monkeypatch.setattr(analytic, "p_eps4_closed",
+                            lambda cfg, a2: probs.p3 + probs.p4 + 1e-6)
+        with pytest.raises(InconsistencyError, match="outside"):
+            event_probabilities_closed(cfg, a2)
+
 
 def _mpmath_event_probs(M, m, n, rho, a2):
     """[P(E1), ..., P(E4)] at 40 digits for the float inputs, from the
@@ -408,11 +418,11 @@ _QUAD_PINS = [
      ("0x1.fd94f86b66f88p-1", "0x1.358397e138c7bp-8",
       "0x1.6466c891f61bap-27", "0x1.779c79c78bc52p-30")),
     (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
-     ("0x1.05f266cc85f7cp-4", "0x1.f59a8265934d3p-4",
-      "0x1.a07d27dbd7064p-1", "0x1.13afde5d11600p-13")),
+     ("0x1.05f266cc85f75p-4", "0x1.f59a8265934d4p-4",
+      "0x1.a07d27dbd7066p-1", "0x1.13afde5d11600p-13")),
     (PairingConfig(20, 3, 17, 300.0), 0.1, 0.7, 1e-7,
-     ("0x1.b53dcfc8c683ep-177", "0x1.4de8633f10534p-29",
-      "0x1.fff2de34d69ccp-1", "0x1.a436c95b9f3abp-14")),
+     ("0x1.b53dcfc8c6102p-177", "0x1.4de8633f10487p-29",
+      "0x1.fff2de34d69ccp-1", "0x1.a436c95b9f3b5p-14")),
     (PairingConfig(10, 1, 10, RHO25), 0.3, 0.5, 1e-6,
      ("0x1.bcde5c61fc8c4p-1", "0x1.0c868e780dcfcp-3",
       "0x0.0p+0", "0x0.0p+0")),
@@ -461,7 +471,10 @@ class TestQuadratureOracle:
     def test_pinned_output(self, cfg, a2, b2, tol, expect, monkeypatch):
         # exact values with every cut bisected onto adjacent floats: any
         # change to the panels refined, their order or the per-node
-        # arithmetic moves the last bits
+        # arithmetic moves the last bits; so does a change to which label
+        # change a bracket is cut at where it holds several, as the
+        # classifier's rounding makes near a boundary at adjacent-float
+        # scale
         monkeypatch.setattr(quadrature, "_CUT_SHARE", 0.0)
         probs = event_probabilities_quadrature(cfg, a2, b2, tol)
         assert tuple(p.hex() for p in probs.as_tuple()) == expect
@@ -543,6 +556,30 @@ class TestQuadratureOracle:
             stop = quadrature._CUT_SHARE * tol / (cuts * peak)
             # s is read back from y, to about 1e-5 of a bracket
             assert width.max() <= 1.001 * stop
+
+    def test_bracket_cut_at_its_first_label_change(self, monkeypatch):
+        # a labeller of s alone that reads E2 | E3 | E2 | E4 inside one
+        # probe bracket: the bracket reads E2 then E4, and its cut goes at
+        # the first change, where the first E2 stretch ends; the midpoint of
+        # the bracket reads E2, so a cut at the last change, past the E3
+        # sliver and the second E2 stretch, moves P(E2) by ~1e-2
+        cfg, tol = PairingConfig(10, 4, 5, RHO25), 1e-6
+        probes = quadrature._SPROBES
+        k = np.searchsorted(probes, 0.7)
+        lo, hi = probes[k - 1], probes[k]
+        c1, c2, c3 = lo + np.array([0.1, 0.2, 0.7]) * (hi - lo)
+
+        def labeller(x, y, a2, b2):
+            s = np.exp((x - y) / cfg.rho)
+            return np.select([s < c1, s < c2, s < c3], [2, 3, 2],
+                             4).astype(np.int8)
+
+        monkeypatch.setattr(quadrature, "classify_many", labeller)
+        probs = event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25),
+                                               tol=tol)
+        first = betainc(*cfg.s_shape, c1)
+        assert probs.as_tuple() == pytest.approx(
+            (0.0, first, 0.0, 1.0 - first), rel=0.0, abs=tol)
 
     def test_bisection_cap_raises(self, monkeypatch):
         # one call of 4 halvings leaves the brackets ~1/1024 wide, far

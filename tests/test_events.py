@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
-from noma_tdma.events import DegenerateSplitError, classify_many, e2_threshold
+from noma_tdma.events import (ClassificationError, DegenerateSplitError,
+                              classify_many, e2_threshold)
 from noma_tdma.regions import f_noma, f_tdma, log2_1p, noma_rates, tdma_rates
 
 
@@ -57,6 +58,21 @@ class TestClassifyFull:
             for a2, b2 in ((0.0, 0.5), (0.6, 0.5), (0.25, 0.0), (0.25, 1.0)):
                 with pytest.raises(DegenerateSplitError):
                     classify_many(1.0, 3.0, a2, b2, reduced=reduced)
+
+    def test_nan_margin_rejected(self):
+        # a NaN or infinite x or y makes h(x) - h(y) NaN, which every sign
+        # comparison would read as a tie
+        for reduced in (False, True):
+            for x, y in ((math.nan, 3.0), (1.0, math.nan),
+                         ([1.0, math.nan], 3.0)):
+                with pytest.raises(ClassificationError, match="NaN margin"):
+                    classify_many(x, y, 0.25, 0.5, reduced=reduced)
+            # h(inf) = inf - inf
+            with np.errstate(invalid="ignore"):
+                for x, y in ((math.inf, 3.0), (1.0, math.inf)):
+                    with pytest.raises(ClassificationError,
+                                       match="NaN margin"):
+                        classify_many(x, y, 0.25, 0.5, reduced=reduced)
 
 
 class TestEquivalence:

@@ -21,6 +21,10 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", ".benchmarks", "_out")
 
 MUTANTS = [
+    # a clamp slack a million times wider than rounding
+    ("src/noma_tdma/analytic.py",
+     "CLAMP_TOL = 1e-9",
+     "CLAMP_TOL = 1e-3"),
     # the P(E4) start edges at x = rho 2^k, pinned by the (5, 4, 5) point
     # of test_closed_forms_match_mpmath_up_to_m200
     ("src/noma_tdma/analytic.py",
@@ -54,6 +58,10 @@ MUTANTS = [
      "np.union1d(np.linspace(0.0, 1.0, 9),\n"
      "                       _e1_jumps(cfg, a2, b2, cut_tol))",
      "np.linspace(0.0, 1.0, 9)"),
+    # a bracket cut at its last label change, not its first
+    ("src/noma_tdma/quadrature.py",
+     "first = starts + same.argmin(axis=1)",
+     "first = starts + (width - same[:, ::-1].argmax(axis=1)) % width"),
     # the oracle's cut stop without the most cuts in one row
     ("src/noma_tdma/quadrature.py",
      "stop = cut_tol / (np.bincount(row).max(initial=1) * peak)",
@@ -81,8 +89,9 @@ MUTANTS = [
      "TIE_TOL = 1e-9"),
     # ties go to the highest matching event id, not the lowest
     ("src/noma_tdma/events.py",
-     "                table[code] = event\n                break\n",
-     "                table[code] = event\n"),
+     "                table[s1 + 3 * s2 + 9 * s3] = event\n"
+     "                break\n",
+     "                table[s1 + 3 * s2 + 9 * s3] = event\n"),
     # u's Beta shape reversed: every method moves together, so only an
     # outside witness sees it
     ("src/noma_tdma/order_stats.py",
