@@ -130,8 +130,10 @@ def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:
         raise DegenerateSplitError("need 0 < b2 < 1 everywhere")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    hx, hy = (b2 * np.log1p(v) - np.log1p(a2 * v) for v in (x, y))
-    d = hx - hy
+    # an infinite x or y makes h inf - inf = NaN, reported below, not warned
+    with np.errstate(invalid="ignore"):
+        hx, hy = (b2 * np.log1p(v) - np.log1p(a2 * v) for v in (x, y))
+        d = hx - hy
     # a NaN margin fails every sign comparison, so it would read as a tie;
     # the margins of finite x and y are finite, and so is their sum
     if math.isnan(d.sum()):

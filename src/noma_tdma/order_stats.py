@@ -105,16 +105,16 @@ def marginal_cdf_n(t, cfg: PairingConfig):
 
 
 #: spacing runs with a > 1 at least this long are drawn as a gamma ratio,
-#: shorter ones as a sum of exponentials.  Per 65,536 draws into reused rows
-#: on a 2-core x86-64 KVM guest (numpy 2.4.6, SFC64; median of 60
-#: interleaved rounds at a in {5, 190}), a sum of k exponentials takes
-#: ~0.36*k ms (2.52 ms at k = 7, 2.90 ms at k = 8) and the ratio of two
-#: gammas ~2.75 ms, so the sum is the cheaper up to k = 7.  Runs with a = 1
-#: and k >= 2 are drawn by inversion instead (`_log_beta_draw`), ~0.7 ms
-#: where their gamma ratio took ~1.9 ms; a single spacing stays one
-#: exponential.  The value fixes which draws a block makes, so it is part
-#: of `montecarlo.RNG_SCHEME`.
-GAMMA_RUN = 8
+#: shorter ones as a sum of spacings, each by inversion.  Per 65,536 draws
+#: into reused rows on a 2-core x86-64 KVM guest (numpy 2.4.6, SFC64; median
+#: of 120 interleaved rounds at a in {5, 190}), a sum of k spacings takes
+#: ~0.27*k ms (2.36-2.39 ms at k = 9, 2.68-2.69 ms at k = 10) and the ratio
+#: of two gammas 2.48-2.53 ms, so the sum is the cheaper up to k = 9.  Runs
+#: with a = 1 and k >= 2 are drawn by inversion of their Beta law instead
+#: (`_log_beta_draw`), ~0.7 ms where their gamma ratio took ~1.9 ms.  The
+#: value fixes which draws a block makes, so it is part of
+#: `montecarlo.RNG_SCHEME`.
+GAMMA_RUN = 10
 
 
 def _log_beta_draw(rng: np.random.Generator, shape: tuple[int, int],
@@ -127,7 +127,8 @@ def _log_beta_draw(rng: np.random.Generator, shape: tuple[int, int],
     rho/(a+b-1), ..., rho/a.  With a = 1 and b > 1, B = 1 - U^(1/b) for
     U ~ Uniform[0, 1) (Devroye 1986), one uniform per draw; with a > 1, a
     run of b >= GAMMA_RUN spacings is drawn as rho*log1p(G_b/G_a) from two
-    gamma draws, since B = G_a/(G_a+G_b); any other run is summed.
+    gamma draws, since B = G_a/(G_a+G_b); any other run is summed, each
+    spacing by inversion as -(rho/rate)*log(1 - U) from one uniform.
     """
     a, b = shape
     if a == 1 and b > 1:
@@ -158,11 +159,16 @@ def _log_beta_draw(rng: np.random.Generator, shape: tuple[int, int],
         np.log1p(out, out=out)
         out *= rho
         return
-    rng.standard_exponential(out=out)
-    out *= rho / (a + b - 1)
+    # 1 - U is exact and in (0, 1], so U = 0 is a zero spacing, never inf
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
+    out *= -rho / (a + b - 1)
     for rate in range(a + b - 2, a - 1, -1):
-        rng.standard_exponential(out=scratch)
-        scratch *= rho / rate
+        rng.random(out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        np.log(scratch, out=scratch)
+        scratch *= -rho / rate
         out += scratch
 
 
@@ -175,7 +181,7 @@ def sample_pairs(cfg: PairingConfig, rng: np.random.Generator, size: int,
     rho/(M-k).  x sums the first m spacings and y - x the next n-m, so
     x = -rho*log(u) and y - x = -rho*log(s) with u ~ Beta(cfg.u_shape) and
     s ~ Beta(cfg.s_shape); each is drawn by `_log_beta_draw`, x first.  A
-    pair costs at most 2*(GAMMA_RUN-1) = 14 draws, whatever M and n, and
+    pair costs at most 2*(GAMMA_RUN-1) = 18 draws, whatever M and n, and
     no sort; with n = M, y - x takes one draw.  A row with y <= x can only
     come from x + (y - x) rounding to x; such rows are redrawn.
 

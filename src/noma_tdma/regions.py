@@ -22,20 +22,43 @@ def log2_1p(v):
 # low-level rate formulas (scalar or ndarray arguments)
 # ---------------------------------------------------------------------------
 
-def noma_rates(x, y, a2):
+def noma_rates(x, y, a2, out=None):
     """Superposition-coding rates (r1, r2) at power split (1-a2, a2).
 
     r2 = log2(1 + a2*y); r1 = log2(1 + (1-a2)x / (1 + a2*x)), evaluated
-    as log2((1+x)/(1+a2*x)) for numerical stability.
+    as log2((1+x)/(1+a2*x)) for numerical stability.  With `out`, a float64
+    array of two rows, r1 and r2 are written into its rows by the same
+    operations and returned as views of them.
     """
-    r2 = log2_1p(np.multiply(a2, y))
-    r1 = (np.log1p(x) - np.log1p(np.multiply(a2, x))) / LN2
+    if out is None:
+        r2 = log2_1p(np.multiply(a2, y))
+        r1 = (np.log1p(x) - np.log1p(np.multiply(a2, x))) / LN2
+        return r1, r2
+    r1, r2 = out
+    np.log1p(x, out=r1)
+    # r2 holds log1p(a2*x) until r1 is done
+    np.multiply(a2, x, out=r2)
+    np.log1p(r2, out=r2)
+    r1 -= r2
+    r1 /= LN2
+    np.multiply(a2, y, out=r2)
+    np.log1p(r2, out=r2)
+    r2 /= LN2
     return r1, r2
 
 
-def tdma_rates(x, y, b2):
-    """Time-sharing rates (b1*R1*, b2*R2*)."""
-    return (1.0 - b2) * log2_1p(x), b2 * log2_1p(y)
+def tdma_rates(x, y, b2, out=None):
+    """Time-sharing rates (b1*R1*, b2*R2*); `out` as in `noma_rates`."""
+    if out is None:
+        return (1.0 - b2) * log2_1p(x), b2 * log2_1p(y)
+    r1, r2 = out
+    np.log1p(x, out=r1)
+    r1 /= LN2
+    r1 *= 1.0 - b2
+    np.log1p(y, out=r2)
+    r2 /= LN2
+    r2 *= b2
+    return r1, r2
 
 
 def f_noma(z, x, y):

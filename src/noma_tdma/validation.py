@@ -178,17 +178,17 @@ def check_orderstats(seed: int, samples: int = 200_000) -> list[dict]:
     records.append(_record("orderstats", "sampler_joint_chi_square",
                            pval > 0.001, f"p-value = {pval:.4f}"))
 
-    # x is one spacing and y - x a run of nine: s ~ Beta(1, 9) at (10,1,10),
-    # drawn by inversion from one uniform, and s ~ Beta(3, 9) at (12,1,10),
+    # x is one spacing and y - x a run of ten: s ~ Beta(1, 10) at (11,1,11),
+    # drawn by inversion from one uniform, and s ~ Beta(3, 10) at (13,1,11),
     # drawn as a gamma ratio
-    for check, M, offset in [("sampler_joint_chi_square_long_run", 10, 2),
-                             ("sampler_joint_chi_square_gamma_run", 12, 3)]:
-        cfg_long = PairingConfig(M, 1, 10, 10.0)
+    for check, M, offset in [("sampler_joint_chi_square_long_run", 11, 2),
+                             ("sampler_joint_chi_square_gamma_run", 13, 3)]:
+        cfg_long = PairingConfig(M, 1, 11, 10.0)
         x, y = sample_pairs(cfg_long, np.random.default_rng(seed + offset),
                             samples)
         pval = _chi_square_pvalue(x, y, cfg_long)
         records.append(_record("orderstats", check, pval > 0.001,
-                               f"p-value = {pval:.4f} at ({M},1,10)"))
+                               f"p-value = {pval:.4f} at ({M},1,11)"))
 
     cfg2 = PairingConfig(2, 1, 2, 1.0)
     _, y2 = sample_pairs(cfg2, np.random.default_rng(seed + 1), samples)

@@ -494,7 +494,7 @@ class TestManifest:
             (tmp_path / f"events.{fmt}.manifest.json").read_text())
         assert manifest["command"] == "events"
         assert manifest["seed"] == 17
-        assert manifest["rng_scheme"] == "sfc64-seedseq-blocks-v5"
+        assert manifest["rng_scheme"] == "sfc64-seedseq-blocks-v6"
         assert "timestamp" in manifest
         assert str(out) in manifest["outputs"]
 

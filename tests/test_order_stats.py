@@ -157,14 +157,14 @@ class TestSampler:
 
     def test_rounded_ties_are_redrawn(self):
         class ZeroRunFirst:
-            """Draws 1 (1/2 for a uniform), except 0 on the listed calls of
-            the first pass, which make every first pair's y - x zero, so
-            y == x."""
+            """Draws 1/2 for a uniform and 1 for a gamma, except 0 on the
+            listed calls of the first pass, which make every first pair's
+            y - x zero (a uniform U = 0 is a zero spacing), so y == x."""
 
             def __init__(self, zero):
                 self.zero, self.calls = zero, 0
 
-            def _draw(self, out, value=1.0):
+            def _draw(self, out, value):
                 self.calls += 1
                 out[...] = 0.0 if self.calls in self.zero else value
                 return out
@@ -172,26 +172,26 @@ class TestSampler:
             def random(self, out):
                 return self._draw(out, 0.5)
 
-            def standard_exponential(self, out):
-                return self._draw(out)
-
             def standard_gamma(self, shape, out):
-                return self._draw(out)
+                return self._draw(out, 1.0)
 
         for cfg, zero, per_pass in [
-            # x then y - x as sums of exponentials: draws 3-7 are y - x
+            # x then y - x as sums of spacings: uniforms 3-7 are y - x
             (PairingConfig(10, 2, 7, 100.0), {3, 4, 5, 6, 7}, 7),
-            # x one exponential, y - x one uniform by inversion: draw 2 is U
+            # x one spacing, y - x one uniform by inversion: draw 2 is U
             (PairingConfig(10, 1, 10, 100.0), {2}, 2),
             # both runs gamma ratios: draw 3 is the numerator of y - x
-            (PairingConfig(20, 8, 16, 100.0), {3}, 4),
+            (PairingConfig(30, 10, 20, 100.0), {3}, 4),
         ]:
             rng = ZeroRunFirst(zero)
             x, y = sample_pairs(cfg, rng, 5)
             assert np.all(0.0 < x) and np.all(x < y)
             assert rng.calls == 2 * per_pass
 
-    @pytest.mark.parametrize("M,m,n", [(10, 2, 7), (10, 1, 10), (20, 8, 16)])
+    # sums of 2 and 5 spacings, a single spacing and an inversion, sums of
+    # 8 spacings, and two gamma ratios
+    @pytest.mark.parametrize("M,m,n", [(10, 2, 7), (10, 1, 10), (20, 8, 16),
+                                       (30, 10, 20)])
     def test_caller_buffer_gives_the_same_pairs(self, M, m, n):
         cfg = PairingConfig(M, m, n, 100.0)
         for size in (1000, 700):
@@ -215,9 +215,15 @@ class TestSampler:
         se = y.std() / math.sqrt(len(y))
         assert abs(y.mean() - 1.5) <= 3 * se
 
-    @pytest.mark.parametrize("M,m,n", [(10, 1, 10), (200, 5, 6)])
+    @pytest.mark.parametrize("M,m,n", [(10, 1, 10), (200, 5, 6), (10, 2, 7)])
     def test_marginal_ks(self, M, m, n):
+        # x, the m-th order statistic, is the n-th of the pairing (M, m-1, m);
+        # at (10,2,7) both runs are sums of spacings
         cfg = PairingConfig(M, m, n, 316.0)
-        _, y = sample_pairs(cfg, np.random.default_rng(8), 100_000)
-        ks = kstest(y, lambda t: marginal_cdf_n(t, cfg)).statistic
-        assert ks < 1.628 / math.sqrt(len(y))  # 1% critical value
+        x, y = sample_pairs(cfg, np.random.default_rng(8), 100_000)
+        crit = 1.628 / math.sqrt(len(y))  # 1% critical value
+        assert kstest(y, lambda t: marginal_cdf_n(t, cfg)).statistic < crit
+        if m > 1:
+            cfg_x = PairingConfig(M, m - 1, m, 316.0)
+            assert kstest(x, lambda t: marginal_cdf_n(t, cfg_x)).statistic \
+                < crit

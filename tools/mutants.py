@@ -97,10 +97,15 @@ MUTANTS = [
     ("src/noma_tdma/order_stats.py",
      "return self.M - self.m + 1, self.m",
      "return self.m, self.M - self.m + 1"),
-    # the sampler's sum-to-gamma switch at runs of 3 spacings, not 8
+    # the sampler's sum-to-gamma switch at runs of 3 spacings, not 10
     ("src/noma_tdma/order_stats.py",
-     "GAMMA_RUN = 8",
+     "GAMMA_RUN = 10",
      "GAMMA_RUN = 3"),
+    # a summed run's first spacing at rate a + b, not a + b - 1; killed by
+    # the KS test of x at (10,2,7), not by a pinned value alone
+    ("src/noma_tdma/order_stats.py",
+     "out *= -rho / (a + b - 1)",
+     "out *= -rho / (a + b)"),
     # the inversion draw of a Beta(1, b) run as 1 - U^(1/(b+1)), which is
     # Beta(1, b+1)
     ("src/noma_tdma/order_stats.py",
