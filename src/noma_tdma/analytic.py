@@ -41,7 +41,7 @@ _PANEL_WEIGHTS[:8, 0] = 0.5 * _GL_WEIGHTS
 _PANEL_WEIGHTS[8:16, 1] = _PANEL_WEIGHTS[16:, 2] = 0.25 * _GL_WEIGHTS
 
 #: levels of panels (the starting panels are the first), and panels at one
-#: level, before `_integrate` gives up; the one budget of the P(E4) integral
+#: level, before `beta_expect` gives up; the one budget of the P(E4) integral
 #: and of the quadrature oracle
 _QUAD_LEVELS = 40
 _QUAD_PANELS = 1024
@@ -119,12 +119,13 @@ def _panel_estimates(fx: np.ndarray, width: np.ndarray,
     return est.reshape(width.size, -1, cols) * width[:, None, None]
 
 
-def _integrate(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
-               tol: float = QUAD_TOL) -> np.ndarray:
-    """The k integrals of a vector integrand from edges[0] to edges[-1] to an
-    absolute tol, by adaptive 8-node Gauss-Legendre panels starting from
-    those between the edges; f maps an array of nodes to one row of k
-    components per node.
+def beta_expect(shape: tuple[int, int], g: Callable[..., np.ndarray],
+                cuts: np.ndarray, top: float = 1.0,
+                tol: float = QUAD_TOL) -> np.ndarray:
+    """The k integrals over (0, top) of g against the Beta(`shape`) density
+    (`beta_logpdf`) to an absolute tol, by adaptive 8-node Gauss-Legendre
+    panels starting from those split at the `cuts` inside (0, top); g(t,
+    log(1 - t)) maps an array of nodes t to one row of k values per node.
 
     The error of a panel is the sum over the components of
     |whole - (left + right)|.  A panel whose error is within a quarter of
@@ -132,7 +133,15 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray,
     contributes its two halves; every other panel is split into those
     halves.  The quarter is a margin for a panel too coarse for its
     integrand, whose halves can be as far off as the whole.  The nodes of
-    all panels of a level are evaluated in one call of f."""
+    all panels of a level are evaluated in one call of g."""
+    def f(t: np.ndarray) -> np.ndarray:
+        log_1mt = np.log1p(-t)
+        # beta_logpdf is a scalar for the uniform law, both exponents 0
+        dens = np.exp(beta_logpdf(np.log(t), log_1mt, shape))
+        return dens[..., None] * g(t, log_1mt)
+
+    edges = np.concatenate(
+        ([0.0], np.unique(cuts[(cuts > 0.0) & (cuts < top)]), [top]))
     lo = edges[:-1]
     width = np.diff(edges)
     fx = f((lo[:, None] + width[:, None] * _PANEL_NODES).ravel())
@@ -171,9 +180,9 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     y < g(x) = (w2 - x)/(1 + x).  Given x, y - x is the (n-m)-th smallest of
     M-m i.i.d. gains (memoryless), so P(E4 | x) = P(K' >= n-m) for
     K' ~ Binomial(M-m, F(g(x) - x)), and P(E4) = int_0^lo f_m(x) P(E4 | x) dx.
-    The integral runs over q = F(x) = 1 - u, where f_m is the `beta_logpdf`
-    of u_shape[::-1], so its nodes see the mass of x however far lo lies
-    beyond it.
+    The integral runs over q = F(x) = 1 - u, as `beta_expect` of P(E4 | x)
+    against q's law Beta(u_shape[::-1]), so its nodes see the mass of x
+    however far lo lies beyond it.
     """
     M, m, n, rho = cfg.M, cfg.m, cfg.n, cfg.rho
     w2 = e2_threshold(a2)
@@ -185,20 +194,18 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     if not top > 0.0:
         return 0.0
 
-    def integrand(q: np.ndarray) -> np.ndarray:
-        log_1mq = np.log1p(-q)
+    def tail(q: np.ndarray, log_1mq: np.ndarray) -> np.ndarray:
         xv = -rho * log_1mq
         # rounding can carry x a hair past lo, where the gap turns negative
         gap = np.maximum((w2 - xv) / (1.0 + xv) - xv, 0.0)
-        dens = np.exp(beta_logpdf(np.log(q), log_1mq, cfg.u_shape[::-1]))
-        return (dens * bdtrc(n - m - 1, M - m, -np.expm1(-gap / rho)))[:, None]
+        return bdtrc(n - m - 1, M - m, -np.expm1(-gap / rho))[:, None]
 
     # a ratio over rho may overflow to inf at extreme w2 or rho, which maps
     # to q = 1 or F = 1 as it should
     with np.errstate(over="ignore"):
-        # the integrand is the Beta(u_shape[::-1]) density of q times P(E4 |
-        # x), the Beta(s_shape[::-1]) CDF at p = F(g(x) - x), whose cuts map
-        # back to q through the root x of g(x) - x = -rho*log(1-p)
+        # the cuts of q's law, and those of P(E4 | x), the Beta(s_shape[::-1])
+        # CDF at p = F(g(x) - x), mapped back to q through the root x of
+        # g(x) - x = -rho*log(1-p)
         p = _beta_cuts(*cfg.s_shape[::-1])
         gap = -rho * np.log1p(-p[p < 1.0])
         x_cuts = np.concatenate((
@@ -206,9 +213,7 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
             np.expm1(math.log1p(lo) * _LO_STEPS), rho * _RHO_STEPS))
         cuts = np.concatenate((_beta_cuts(*cfg.u_shape[::-1]),
                                -np.expm1(-x_cuts / rho)))
-        edges = np.concatenate(
-            ([0.0], np.sort(cuts[(cuts > 0.0) & (cuts < top)]), [top]))
-        (p4,) = _integrate(integrand, edges)
+        (p4,) = beta_expect(cfg.u_shape[::-1], tail, cuts, top)
     # the integral's own error can carry it a hair past 1
     return _clamp_probability(float(p4), "P(E4)")
 

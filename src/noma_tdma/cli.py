@@ -53,11 +53,13 @@ def _manifest(args: argparse.Namespace) -> dict:
     """What determines the data; the run's timestamp is added only to the
     sidecar manifest, so a JSON data file embedding this is reproducible."""
     params = {k: v for k, v in vars(args).items() if k != "func"}
+    seed = getattr(args, "seed", None)
     return {
         "command": args.command,
         "parameters": params,
-        "seed": getattr(args, "seed", None),
-        "rng_scheme": RNG_SCHEME,
+        "seed": seed,
+        # a command that draws no random number has no scheme to record
+        "rng_scheme": None if seed is None else RNG_SCHEME,
         "version": __version__,
     }
 

@@ -118,8 +118,9 @@ def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:
     summed in place into one int8 code, and the code is looked up in a
     27-entry table derived from the condition tables.  The reduced table is
     written independently of the full one, so agreement between the two is
-    a genuine check of the underlying boundary geometry.  A NaN margin
-    h(x) - h(y), from a NaN or infinite x or y, raises ClassificationError.
+    a genuine check of the underlying boundary geometry.  A pair outside
+    0 <= x <= y raises ValueError; a NaN margin h(x) - h(y), from a NaN or
+    infinite x or y, raises ClassificationError.
     """
     a2 = np.asarray(a2, dtype=np.float64)
     b2 = np.asarray(b2, dtype=np.float64)
@@ -130,6 +131,9 @@ def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:
         raise DegenerateSplitError("need 0 < b2 < 1 everywhere")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    # a NaN or infinite x or y is left to be reported as a NaN margin below
+    if ((x < 0.0) | (x > y)).any() and x.max() < math.inf:
+        raise ValueError("need 0 <= x <= y everywhere")
     # an infinite x or y makes h inf - inf = NaN, reported below, not warned
     with np.errstate(invalid="ignore"):
         hx, hy = (b2 * np.log1p(v) - np.log1p(a2 * v) for v in (x, y))

@@ -12,7 +12,7 @@ on the (black-box) classifier.  A u-column's masses are then telescoped:
 all of its Beta(s_shape) mass starts on its last label, and a cut at CDF
 value F (`betainc`) moves F from the label on its right to the one on its
 left.  The outer u-integral against the Beta(u_shape) density,
-`order_stats.beta_logpdf`, is done by `analytic._integrate`, the adaptive
+`order_stats.beta_logpdf`, is done by `analytic.beta_expect`, the adaptive
 Gauss-Legendre rule of the closed-form P(E4) integral, with the four event
 masses as one vector integrand; its panels are refined near the kinks the
 event boundaries induce.  Its one jump, where x crosses the E1 threshold
@@ -56,7 +56,7 @@ from collections.abc import Callable
 import numpy as np
 from scipy.special import betainc
 
-from .analytic import _integrate
+from .analytic import beta_expect
 from .events import ConvergenceError, EventProbabilities, classify_many
 from .order_stats import PairingConfig, beta_logpdf
 
@@ -184,12 +184,10 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
         raise ValueError(f"tol must be finite and >= 1e-10, got {tol}")
     cut_tol = _CUT_SHARE * tol
     # the 8 starting panels, split at every jump of the E1 mass
-    edges = np.union1d(np.linspace(0.0, 1.0, 9),
-                       _e1_jumps(cfg, a2, b2, cut_tol))
-    totals = _integrate(
-        lambda u: (np.exp(beta_logpdf(np.log(u), np.log1p(-u), cfg.u_shape))
-                   [:, None] * _column_masses(u, cfg, a2, b2, cut_tol)),
-        edges, (1.0 - _CUT_SHARE) * tol)
+    cuts = np.append(np.arange(1, 8) / 8.0, _e1_jumps(cfg, a2, b2, cut_tol))
+    totals = beta_expect(
+        cfg.u_shape, lambda u, _: _column_masses(u, cfg, a2, b2, cut_tol),
+        cuts, tol=(1.0 - _CUT_SHARE) * tol)
     if abs(totals.sum() - 1.0) > 10.0 * tol:
         raise ConvergenceError(
             f"event masses sum to {totals.sum()}, outside 1 +/- {10 * tol}")

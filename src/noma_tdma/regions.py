@@ -26,15 +26,12 @@ def noma_rates(x, y, a2, out=None):
     """Superposition-coding rates (r1, r2) at power split (1-a2, a2).
 
     r2 = log2(1 + a2*y); r1 = log2(1 + (1-a2)x / (1 + a2*x)), evaluated
-    as log2((1+x)/(1+a2*x)) for numerical stability.  With `out`, a float64
-    array of two rows, r1 and r2 are written into its rows by the same
-    operations and returned as views of them.
+    as log2((1+x)/(1+a2*x)) for numerical stability.  Both are written into
+    the two rows of `out` (float64, allocated if None) and returned as views.
     """
     if out is None:
-        r2 = log2_1p(np.multiply(a2, y))
-        r1 = (np.log1p(x) - np.log1p(np.multiply(a2, x))) / LN2
-        return r1, r2
-    r1, r2 = out
+        out = np.empty((2, *np.broadcast(x, y, a2).shape))
+    r1, r2 = out[0, ...], out[1, ...]
     np.log1p(x, out=r1)
     # r2 holds log1p(a2*x) until r1 is done
     np.multiply(a2, x, out=r2)
@@ -50,8 +47,8 @@ def noma_rates(x, y, a2, out=None):
 def tdma_rates(x, y, b2, out=None):
     """Time-sharing rates (b1*R1*, b2*R2*); `out` as in `noma_rates`."""
     if out is None:
-        return (1.0 - b2) * log2_1p(x), b2 * log2_1p(y)
-    r1, r2 = out
+        out = np.empty((2, *np.broadcast(x, y, b2).shape))
+    r1, r2 = out[0, ...], out[1, ...]
     np.log1p(x, out=r1)
     r1 /= LN2
     r1 *= 1.0 - b2

@@ -10,6 +10,8 @@ from scipy.stats import beta as beta_dist
 
 from noma_tdma import analytic, quadrature
 from noma_tdma.analytic import (
+    QUAD_TOL,
+    beta_expect,
     event_probabilities_closed,
     p_eps2_closed,
     p_eps2_special,
@@ -178,6 +180,31 @@ def _quadpack_p_eps4(cfg, a2):
                    limit=500, points=points[points < top], full_output=1)
     # as p_eps4_closed, a probability
     return min(val, 1.0)
+
+
+class TestBetaExpect:
+    @pytest.mark.parametrize("a, b", [
+        (1, 1), (10, 1), (6, 5),
+        # the law of q = F(x) at (M, m) = (10000, 2500), where the density's
+        # log normaliser, -betaln(a, b) ~ -5,600, loses ~4e-12 to rounding
+        pytest.param(2500, 7501, marks=pytest.mark.xfail(
+            strict=True, reason="no accurate Beta density at M ~ 1e4 yet")),
+    ])
+    def test_moments_and_mass(self, a, b):
+        # E[1] = 1, E[t] = a / (a + b), and the mass below top is the
+        # regularised incomplete Beta function: witnesses of the density
+        # apart from both solvers that integrate against it
+        mean = a / (a + b)
+        sd = math.sqrt(mean * (1.0 - mean) / (a + b + 1))
+        cuts = mean + sd * np.array([-30.0, -10.0, -3.0, -1.0, 0.0, 1.0,
+                                     3.0, 10.0, 30.0])
+        moments = beta_expect(
+            (a, b), lambda t, _: np.stack((np.ones_like(t), t), axis=1), cuts)
+        assert moments == pytest.approx([1.0, mean], abs=QUAD_TOL)
+        top = mean + 0.5 * sd
+        (mass,) = beta_expect((a, b), lambda t, _: np.ones((t.size, 1)),
+                              cuts, top)
+        assert mass == pytest.approx(betainc(a, b, top), abs=QUAD_TOL)
 
 
 class TestEps4Closed:

@@ -501,6 +501,17 @@ class TestManifest:
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == first
 
+    def test_regions_records_no_rng_scheme(self, tmp_path):
+        # regions draws no random number, so neither its data file nor its
+        # sidecar may change with the Monte Carlo scheme
+        out = tmp_path / "r.json"
+        assert main(["regions", "--x", "1", "--y", "3", "--points", "4",
+                     "--format", "json", "--out", str(out)]) == EXIT_OK
+        sidecar = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        for manifest in (json.loads(out.read_text())["manifest"], sidecar):
+            assert manifest["seed"] is None
+            assert manifest["rng_scheme"] is None
+
     def test_line_endings_are_lf(self, tmp_path):
         out = tmp_path / "r.csv"
         main(["regions", "--x", "1", "--y", "3", "--points", "4",

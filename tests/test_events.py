@@ -59,6 +59,17 @@ class TestClassifyFull:
                 with pytest.raises(DegenerateSplitError):
                     classify_many(1.0, 3.0, a2, b2, reduced=reduced)
 
+    def test_pairs_outside_the_domain_rejected(self):
+        # x < 0 or y < x is no channel pair, and gets no label
+        for reduced in (False, True):
+            for x, y in ((0.5, -0.2), (3.0, 1.0), (-0.5, 3.0), (-1.0, 3.0),
+                         ([1.0, 3.0], [2.0, 1.0])):
+                with pytest.raises(ValueError, match="0 <= x <= y"):
+                    classify_many(x, y, 0.25, 0.5, reduced=reduced)
+            # both ends of the domain are pairs
+            assert classify_many([0.0, 2.0], [1.0, 2.0], 0.25, 0.5,
+                                 reduced=reduced).all()
+
     def test_nan_margin_rejected(self):
         # a NaN or infinite x or y makes h(x) - h(y) NaN, which every sign
         # comparison would read as a tie
