@@ -9,7 +9,8 @@ four subsegments; the event index says which subsegment T falls on:
   E3: R1N > R1T, R2N < R2T, sum won (NOMA wins the sum rate only)
   E4: sum lost                      (TDMA wins the sum rate)
 
-Each comparison is one function of one SNR: with the margin
+Each comparison is one function of one SNR of a finite channel pair
+0 <= x <= y: with the margin
 h(v) = b2*ln(1+v) - ln(1+a2*v) in nats, R1N - R1T = h(x)/ln 2,
 R2N - R2T = -h(y)/ln 2 and (R1N + R2N) - (R1T + R2T) = (h(x) - h(y))/ln 2.
 The three solvers' result type and errors are here too, on numpy alone.
@@ -118,9 +119,8 @@ def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:
     summed in place into one int8 code, and the code is looked up in a
     27-entry table derived from the condition tables.  The reduced table is
     written independently of the full one, so agreement between the two is
-    a genuine check of the underlying boundary geometry.  A pair outside
-    0 <= x <= y raises ValueError; a NaN margin h(x) - h(y), from a NaN or
-    infinite x or y, raises ClassificationError.
+    a genuine check of the underlying boundary geometry.  A pair that is
+    not finite with 0 <= x <= y, NaN included, raises ValueError.
     """
     a2 = np.asarray(a2, dtype=np.float64)
     b2 = np.asarray(b2, dtype=np.float64)
@@ -131,17 +131,13 @@ def classify_many(x, y, a2, b2, reduced: bool = False) -> np.ndarray:
         raise DegenerateSplitError("need 0 < b2 < 1 everywhere")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    # a NaN or infinite x or y is left to be reported as a NaN margin below
-    if ((x < 0.0) | (x > y)).any() and x.max() < math.inf:
-        raise ValueError("need 0 <= x <= y everywhere")
-    # an infinite x or y makes h inf - inf = NaN, reported below, not warned
-    with np.errstate(invalid="ignore"):
-        hx, hy = (b2 * np.log1p(v) - np.log1p(a2 * v) for v in (x, y))
-        d = hx - hy
-    # a NaN margin fails every sign comparison, so it would read as a tie;
-    # the margins of finite x and y are finite, and so is their sum
-    if math.isnan(d.sum()):
-        raise ClassificationError("NaN margin: x or y is NaN or infinite")
+    # written so that NaN fails the check; finite x and y give finite
+    # margins, and a NaN margin would fail every sign comparison, a tie
+    if not ((x <= y).all() and x.min(initial=0.0) >= 0.0
+            and y.max(initial=0.0) < math.inf):
+        raise ValueError("need finite 0 <= x <= y everywhere")
+    hx, hy = (b2 * np.log1p(v) - np.log1p(a2 * v) for v in (x, y))
+    d = hx - hy
     # code = s1 + 3*s2 + 9*s3 built as (s3*3 + s2)*3 + s1, with s2 the
     # sign of -h(y), each bool read as an int8 0 or 1; d has the full
     # broadcast shape, and asarray keeps a 0-d code an array to update

@@ -27,8 +27,11 @@ class PairingConfig:
             raise ValueError("M, m, n must be integers")
         if not 1 <= self.m < self.n <= self.M:
             raise ValueError(f"need 1 <= m < n <= M, got (M,m,n)=({self.M},{self.m},{self.n})")
-        if not (np.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        # written so that NaN fails the check; up to 1e300 (3000 dB) every
+        # drawn x or y and every oracle node stays below ~1e303, as
+        # -log u <= ~37, while from ~3060 dB on x overflows
+        if not 0.0 < self.rho <= 1e300:
+            raise ValueError(f"need 0 < rho <= 1e300 (3000 dB), got {self.rho}")
 
     @property
     def u_shape(self) -> tuple[int, int]:

@@ -636,6 +636,23 @@ class TestQuadratureOracle:
         assert probs.p1 + probs.p2 == pytest.approx(
             strong_user_tail(cfg, 0.4), abs=1e-6)
 
+    @pytest.mark.parametrize("m, n", [(1, 2), (4, 20)])
+    def test_sum_check_or_closed_forms_at_huge_population(self, m, n):
+        # at M = 100000 the u-law lies within ~m/M of u = 1, inside the
+        # oracle's last starting panel, whose nodes miss it: the masses sum
+        # to ~1e-50.  The sum check must stop that, and an oracle that
+        # does find the mass agrees with the closed forms
+        cfg = PairingConfig(100_000, m, n, RHO25)
+        a2, tol = 1.0 / math.sqrt(RHO25), 1e-6
+        closed = event_probabilities_closed(cfg, a2)
+        try:
+            quad = event_probabilities_quadrature(cfg, a2, tol=tol)
+        except ConvergenceError as exc:
+            assert "event masses sum to" in str(exc)
+        else:
+            assert quad.as_tuple() == pytest.approx(closed.as_tuple(),
+                                                    abs=tol)
+
     def test_tolerance_validation(self):
         cfg = PairingConfig(6, 2, 5, 100.0)
         for tol in (1e-12, math.nan, math.inf):

@@ -273,6 +273,45 @@ class TestNonFiniteInputs:
         assert "tol must be finite" in capsys.readouterr().err
 
 
+class TestSnrRange:
+    # past ~3060 dB a drawn or integrated x overflows to inf; rho is capped
+    # at 1e300 (3000 dB) where it enters every solver
+    @pytest.mark.parametrize("argv", [
+        *(["events", "--m", "2", "--n", "7", "--rho-db", "3080",
+           "--method", method] for method in ("closed", "quadrature", "mc",
+                                              "all")),
+        ["rates", "--m", "1", "--n", "10", "--rho-db", "3080"],
+        # rho = 10**(-400) underflows to 0, which optimal_a2_special rejects
+        ["sweep-n", "--rho-db", "-4000", "--a2-mode", "special"],
+    ], ids=["closed", "quadrature", "mc", "all", "rates", "special-rho0"])
+    def test_out_of_range_is_usage_error(self, argv, capsys):
+        rc = main([*argv, "--trials", "1000"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rho" in captured.err
+
+    def test_events_at_3000_db(self, tmp_path):
+        out = tmp_path / "events.csv"
+        rc = main(["events", "--m", "2", "--n", "7", "--rho-db", "3000",
+                   "--method", "all", "--trials", "1000", "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_csv(out)
+        assert [r[2] for r in rows] == ["closed", "quadrature", "mc"]
+        for row in rows:
+            probs = [float(v) for v in row[3:7]]
+            assert all(0.0 <= p <= 1.0 for p in probs)
+            assert math.fsum(probs) == pytest.approx(1.0, abs=1e-9)
+
+    def test_rates_at_3000_db(self, tmp_path):
+        out = tmp_path / "rates.csv"
+        rc = main(["rates", "--m", "1", "--n", "10", "--rho-db", "3000",
+                   "--trials", "1000", "--out", str(out)])
+        assert rc == EXIT_OK
+        _, rows = _read_csv(out)
+        assert all(math.isfinite(float(v)) for v in rows[0])
+
+
 class TestSweepN:
     def test_row_count_and_monotonicity(self, tmp_path):
         out = tmp_path / "sweep.csv"

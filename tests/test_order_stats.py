@@ -27,6 +27,14 @@ class TestPairingConfig:
             PairingConfig(10, 1, 11, 1.0)
         with pytest.raises(ValueError):
             PairingConfig(10, 1, 2, -1.0)
+        with pytest.raises(ValueError):
+            PairingConfig(10.0, 1, 2, 1.0)  # M must be an int
+        # rho up to 1e300 (3000 dB), where no drawn or integrated x or y
+        # overflows; NaN fails the check too
+        PairingConfig(10, 1, 2, 1e300)
+        for rho in (1e301, 1e308, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rho <= 1e300"):
+                PairingConfig(10, 1, 2, rho)
 
     def test_constants(self):
         cfg = PairingConfig(10, 2, 7, 100.0)

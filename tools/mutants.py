@@ -49,6 +49,15 @@ MUTANTS = [
     ("src/noma_tdma/analytic.py",
      "EventProbabilities(float(bdtr(cfg.m - 1, cfg.M, q)),",
      "EventProbabilities(float(1.0 - bdtrc(cfg.m - 1, cfg.M, q)),"),
+    # P(E2) from the two tails farther from 0, which loses a small P(E2)'s
+    # relative accuracy
+    ("src/noma_tdma/analytic.py",
+     "if strong_user_tail(cfg, a2) <= 0.5:",
+     "if strong_user_tail(cfg, a2) > 0.5:"),
+    # a sixteenth of the panel budget, too few for a narrow P(E4) integrand
+    ("src/noma_tdma/analytic.py",
+     "_QUAD_PANELS = 1024",
+     "_QUAD_PANELS = 64"),
     # no check that the four closed forms sum to 1
     ("src/noma_tdma/analytic.py",
      "    if abs(total - 1.0) > 1e-9:\n"
@@ -59,6 +68,22 @@ MUTANTS = [
     ("src/noma_tdma/quadrature.py",
      "abs(totals.sum() - 1.0) > 10.0 * tol",
      "abs(totals.sum() - 1.0) > 1e-9"),
+    # no check that the oracle's masses sum to 1: a u-law that its nodes
+    # miss gives masses summing to ~1e-50, returned as probabilities
+    ("src/noma_tdma/quadrature.py",
+     "    if abs(totals.sum() - 1.0) > 10.0 * tol:\n"
+     "        raise ConvergenceError(\n"
+     "            f\"event masses sum to {totals.sum()}, outside 1 +/- "
+     "{10 * tol}\")\n",
+     ""),
+    # the column masses from the CDF of the reversed s-law
+    ("src/noma_tdma/quadrature.py",
+     "cdf = betainc(*cfg.s_shape, cuts)",
+     "cdf = betainc(*cfg.s_shape[::-1], cuts)"),
+    # half the oracle's tol spent on cut placement, not a hundredth
+    ("src/noma_tdma/quadrature.py",
+     "_CUT_SHARE = 1.0 / 100",
+     "_CUT_SHARE = 1.0 / 2"),
     # the oracle's panel edges at the jumps of the E1 mass
     ("src/noma_tdma/quadrature.py",
      "np.append(np.arange(1, 8) / 8.0, _e1_jumps(cfg, a2, b2, cut_tol))",
@@ -97,6 +122,15 @@ MUTANTS = [
      "                table[s1 + 3 * s2 + 9 * s3] = event\n"
      "                break\n",
      "                table[s1 + 3 * s2 + 9 * s3] = event\n"),
+    # an infinite y let through to a NaN margin h(inf) = inf - inf
+    ("src/noma_tdma/events.py",
+     "x.min(initial=0.0) >= 0.0\n"
+     "            and y.max(initial=0.0) < math.inf):",
+     "x.min(initial=0.0) >= 0.0):"),
+    # a negative x let through and labelled
+    ("src/noma_tdma/events.py",
+     "(x <= y).all() and x.min(initial=0.0) >= 0.0\n",
+     "(x <= y).all()\n"),
     # u's Beta shape reversed: every method moves together, so only an
     # outside witness sees it
     ("src/noma_tdma/order_stats.py",
@@ -120,6 +154,10 @@ MUTANTS = [
     ("src/noma_tdma/montecarlo.py",
      "shift = rates[:, 0].copy()",
      "shift = np.zeros(4)"),
+    # Monte Carlo chunks of 2**10 trials, not 2**13
+    ("src/noma_tdma/montecarlo.py",
+     "CHUNK = 1 << 13",
+     "CHUNK = 1 << 10"),
     # a name in the README's paper-to-code map that no module defines
     ("README.md",
      "`noma_tdma.analytic.p_eps2_special`",
