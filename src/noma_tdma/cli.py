@@ -85,6 +85,15 @@ def _emit(args: argparse.Namespace, header: list[str], rows: list[list]) -> None
         fh.write("\n")
 
 
+def _rho(rho_db: float) -> float:
+    """Linear SNR from --rho-db, which must be at most 3000 dB: past ~3083
+    dB 10**(dB/10) overflows a float, and every solver caps rho at 1e300."""
+    # written so that NaN fails the check
+    if not rho_db <= 3000.0:
+        raise ValueError(f"--rho-db must be at most 3000 dB, got {rho_db}")
+    return 10.0**(rho_db / 10.0)
+
+
 def _resolve_a2(mode: str, rho: float) -> float:
     if mode == "inv_sqrt_rho":
         return 1.0 / math.sqrt(rho)
@@ -165,7 +174,7 @@ EVENTS_HEADER = ["m", "n", "method", "p_e1", "p_e2", "p_e3", "p_e4",
 
 
 def cmd_events(args: argparse.Namespace) -> int:
-    rho = 10.0**(args.rho_db / 10.0)
+    rho = _rho(args.rho_db)
     cfg = PairingConfig(args.M, args.m, args.n, rho)
     a2 = _resolve_a2(args.a2_mode, rho)
     rows = []
@@ -181,7 +190,7 @@ def cmd_sweep_n(args: argparse.Namespace) -> int:
     if not 1 <= args.m < args.M:
         raise ValueError(f"sweep-n needs 1 <= m < M, got m={args.m}, "
                          f"M={args.M}")
-    rho = 10.0**(args.rho_db / 10.0)
+    rho = _rho(args.rho_db)
     a2 = _resolve_a2(args.a2_mode, rho)
     methods = _methods(args)
     rows = []
@@ -203,7 +212,7 @@ def cmd_sweep_n(args: argparse.Namespace) -> int:
 def cmd_rates(args: argparse.Namespace) -> int:
     rows = []
     for rho_db in args.rho_db:
-        rho = 10.0**(rho_db / 10.0)
+        rho = _rho(rho_db)
         cfg = PairingConfig(args.M, args.m, args.n, rho)
         a2 = optimal_a2_special(rho)
         est = montecarlo.estimate_average_rates(cfg, a2, 0.5,

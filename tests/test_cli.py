@@ -291,6 +291,22 @@ class TestSnrRange:
         assert captured.out == ""
         assert "rho" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["events", "--m", "2", "--n", "7", "--method", "all"],
+        ["sweep-n", "--M", "4", "--method", "all"],
+        ["rates", "--m", "1", "--n", "10"],
+    ], ids=["events", "sweep-n", "rates"])
+    @pytest.mark.parametrize("rho_db", ["3090", "nan"])
+    def test_rho_db_above_3000_is_usage_error(self, argv, rho_db, capsys):
+        # 10**(3090/10) overflows a float: the limit is checked on the dB
+        # value, before any conversion, and NaN fails it too
+        rc = main([*argv, "--rho-db", rho_db, "--trials", "1000"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--rho-db" in captured.err and "3000" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_events_at_3000_db(self, tmp_path):
         out = tmp_path / "events.csv"
         rc = main(["events", "--m", "2", "--n", "7", "--rho-db", "3000",
@@ -433,10 +449,11 @@ class TestPublicApi:
         assert not missing
 
     def test_quadrature_convergence_error_exits_3(self, monkeypatch, capsys):
-        # the shared budget runs out during refinement, not at the start
+        # the shared budget runs out during refinement, not at the start:
+        # this solve needs 4 levels
         from noma_tdma import analytic
-        monkeypatch.setattr(analytic, "_QUAD_LEVELS", 8)
-        rc = main(["events", "--m", "4", "--n", "5", "--method",
+        monkeypatch.setattr(analytic, "_QUAD_LEVELS", 3)
+        rc = main(["events", "--m", "2", "--n", "7", "--method",
                    "quadrature", "--quad-tol", "1e-9"])
         assert rc == EXIT_NO_CONVERGENCE
         assert "residual error estimate" in capsys.readouterr().err

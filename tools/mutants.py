@@ -84,14 +84,26 @@ MUTANTS = [
     ("src/noma_tdma/quadrature.py",
      "_CUT_SHARE = 1.0 / 100",
      "_CUT_SHARE = 1.0 / 2"),
-    # the oracle's panel edges at the jumps of the E1 mass
+    # no starting panel edges where a column's event set changes
     ("src/noma_tdma/quadrature.py",
-     "np.append(np.arange(1, 8) / 8.0, _e1_jumps(cfg, a2, b2, cut_tol))",
+     "np.append(np.arange(1, 8) / 8.0, _onsets(cfg, a2, b2, cut_tol))",
      "np.arange(1, 8) / 8.0"),
-    # a bracket cut at its last label change, not its first
+    # edges only where a column's E1 membership changes, not at every
+    # change of its event set: the E4 onset at (10,1,4), 58.81 dB, falls
+    # between Gauss nodes; killed by the closed forms
     ("src/noma_tdma/quadrature.py",
-     "first = starts + same.argmin(axis=1)",
-     "first = starts + (width - same[:, ::-1].argmax(axis=1)) % width"),
+     "return np.bitwise_or.reduce(1 << (labels - 1), axis=-1)",
+     "return (labels == 1).any(axis=-1)"),
+    # a bracket walked to its last label change, not its first
+    ("src/noma_tdma/quadrature.py",
+     "end = (got[:, 1:] != left[:, None]).argmax(axis=1)",
+     "end = width - (got[:, -2::-1] != right[:, None]).argmax(axis=1)"),
+    # a bracket cut at its first label change alone, the rest of it never
+    # bisected: an E3 sliver inside one bracket is lost; killed by the
+    # closed forms at (10,1,10), 20 dB
+    ("src/noma_tdma/quadrature.py",
+     "rest = at_end != right",
+     "rest = at_end != at_end"),
     # the oracle's cut stop without the most cuts in one row
     ("src/noma_tdma/quadrature.py",
      "stop = cut_tol / (np.bincount(row).max(initial=1) * peak)",
@@ -99,7 +111,7 @@ MUTANTS = [
     # the s-cut stop without the Beta(s_shape) peak
     ("src/noma_tdma/quadrature.py",
      "_cuts(_SPROBES, labels, label, cut_tol,\n"
-     "                         _beta_peak(*cfg.s_shape))",
+     "                                   _beta_peak(*cfg.s_shape))",
      "_cuts(_SPROBES, labels, label, cut_tol, 1.0)"),
     # half the oracle's bulk s-probes
     ("src/noma_tdma/quadrature.py",
