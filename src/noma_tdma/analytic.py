@@ -21,7 +21,7 @@ from scipy.special import bdtr, bdtrc
 
 from .events import (ConvergenceError, EventProbabilities,
                      InconsistencyError, e2_threshold)
-from .order_stats import PairingConfig, _beta_cuts, beta_logpdf
+from .order_stats import PairingConfig, beta_logpdf
 
 #: slack used when clamping a rounded or integrated result to the unit interval
 CLAMP_TOL = 1e-9
@@ -46,9 +46,12 @@ _PANEL_WEIGHTS[8:16, 1] = _PANEL_WEIGHTS[16:, 2] = 0.25 * _GL_WEIGHTS
 _QUAD_LEVELS = 40
 _QUAD_PANELS = 1024
 
+#: panel edges over a Beta law in sd from its mean; 31 sd hold all but 1e-13
+_SD_STEPS = np.array([-31.0, -7.0, -3.0, -1.0, 0.0, 1.0, 3.0, 7.0, 31.0])
+
 # Starting panels of the P(E4) integral end where its integrand can hold
-# features narrower than a long panel's node spacing: at the
-# `order_stats._beta_cuts` of its two Beta laws; at 1 + x = (1 + lo)^(1/4,
+# features narrower than a long panel's node spacing: at the `_beta_cuts`
+# of its two Beta laws (`beta_expect` adds q's); at 1 + x = (1 + lo)^(1/4,
 # 1/2, 3/4), over which P(E4 | x) can decay as a power of 1 + x; and at
 # x = rho * 2^k up to 16 rho, where q crowds toward 1: without these, P(E4)
 # = 1 - 1.47e-11 at (M, m, n) = (5, 4, 5), rho_dB = 24.366, a2 = 2.507e-4 is
@@ -108,6 +111,12 @@ def strong_user_tail(cfg: PairingConfig, a2: float) -> float:
     return float(bdtr(cfg.n - 1, cfg.M, _threshold_cdf(cfg, a2)))
 
 
+def _beta_cuts(a: int, b: int) -> np.ndarray:
+    """The points _SD_STEPS sd from the mean of the Beta(a, b) law."""
+    mean = a / (a + b)
+    return mean + math.sqrt(mean * (1.0 - mean) / (a + b + 1)) * _SD_STEPS
+
+
 def _panel_estimates(fx: np.ndarray, width: np.ndarray,
                      weights: np.ndarray) -> np.ndarray:
     """Gauss-Legendre estimates of panels of the given widths from their
@@ -124,7 +133,8 @@ def beta_expect(shape: tuple[int, int], g: Callable[..., np.ndarray],
                 tol: float = QUAD_TOL) -> np.ndarray:
     """The k integrals over (0, top) of g against the Beta(`shape`) density
     (`beta_logpdf`) to an absolute tol, by adaptive 8-node Gauss-Legendre
-    panels starting from those split at the `cuts` inside (0, top); g(t,
+    panels starting from those split at the law's own `_beta_cuts`, which
+    see its mass however narrow, and the `cuts`, inside (0, top); g(t,
     log(1 - t)) maps an array of nodes t to one row of k values per node.
 
     The error of a panel is the sum over the components of
@@ -135,11 +145,15 @@ def beta_expect(shape: tuple[int, int], g: Callable[..., np.ndarray],
     integrand, whose halves can be as far off as the whole.  The nodes of
     all panels of a level are evaluated in one call of g."""
     def f(t: np.ndarray) -> np.ndarray:
-        log_1mt = np.log1p(-t)
+        # nodes within ~1e-14 of t = 1 (own edges from M ~ 3e7) round onto
+        # it: log(1 - t) = -inf, and the density is its limit, 0 or a (b = 1)
+        with np.errstate(divide="ignore"):
+            log_1mt = np.log1p(-t)
         # beta_logpdf is a scalar for the uniform law, both exponents 0
         dens = np.exp(beta_logpdf(np.log(t), log_1mt, shape))
         return dens[..., None] * g(t, log_1mt)
 
+    cuts = np.append(_beta_cuts(*shape), cuts)
     edges = np.concatenate(
         ([0.0], np.unique(cuts[(cuts > 0.0) & (cuts < top)]), [top]))
     lo = edges[:-1]
@@ -203,17 +217,15 @@ def p_eps4_closed(cfg: PairingConfig, a2: float) -> float:
     # a ratio over rho may overflow to inf at extreme w2 or rho, which maps
     # to q = 1 or F = 1 as it should
     with np.errstate(over="ignore"):
-        # the cuts of q's law, and those of P(E4 | x), the Beta(s_shape[::-1])
-        # CDF at p = F(g(x) - x), mapped back to q through the root x of
-        # g(x) - x = -rho*log(1-p)
+        # the cuts of P(E4 | x), the Beta(s_shape[::-1]) CDF at p = F(g(x) -
+        # x), mapped back to q through the root x of g(x) - x = -rho*log(1-p)
         p = _beta_cuts(*cfg.s_shape[::-1])
         gap = -rho * np.log1p(-p[p < 1.0])
         x_cuts = np.concatenate((
             0.5 * (np.sqrt(gap**2 + 4.0 * (1.0 + w2)) - (2.0 + gap)),
             np.expm1(math.log1p(lo) * _LO_STEPS), rho * _RHO_STEPS))
-        cuts = np.concatenate((_beta_cuts(*cfg.u_shape[::-1]),
-                               -np.expm1(-x_cuts / rho)))
-        (p4,) = beta_expect(cfg.u_shape[::-1], tail, cuts, top)
+        (p4,) = beta_expect(cfg.u_shape[::-1], tail,
+                            -np.expm1(-x_cuts / rho), top)
     # the integral's own error can carry it a hair past 1
     return _clamp_probability(float(p4), "P(E4)")
 

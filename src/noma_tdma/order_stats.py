@@ -44,16 +44,6 @@ class PairingConfig:
         return self.M - self.n + 1, self.n - self.m
 
 
-#: panel edges over a Beta law in sd from its mean; 31 sd hold all but 1e-13
-_SD_STEPS = np.array([-31.0, -7.0, -3.0, -1.0, 0.0, 1.0, 3.0, 7.0, 31.0])
-
-
-def _beta_cuts(a: int, b: int) -> np.ndarray:
-    """The points _SD_STEPS sd from the mean of the Beta(a, b) law."""
-    mean = a / (a + b)
-    return mean + math.sqrt(mean * (1.0 - mean) / (a + b + 1)) * _SD_STEPS
-
-
 def beta_logpdf(log_t, log_1mt, shape: tuple[int, int]):
     """-log B(a, b) + (a-1) log t + (b-1) log(1-t), the log of the
     Beta(a, b) = `shape` density at t, from log t and log(1-t) as the caller

@@ -18,13 +18,17 @@ against the Beta(u_shape) density, `order_stats.beta_logpdf`, is done by
 `analytic.beta_expect`, the adaptive Gauss-Legendre rule of the
 closed-form P(E4) integral, with the four event masses as one vector
 integrand; its panels are refined near the kinks the event boundaries
-induce.  Where a column's event set changes with u, its masses have a kink
-(an event starts or stops holding in it) or a jump (E1, decided by x
-alone, makes a column all E1 or none).  A panel's error estimate need not
-see either, and an event that holds only between two Gauss nodes is
-missed outright; so every change of the event set, read on the s-probes
-of each u-probe column, is cut by the same routine in u and made a
-starting panel edge.
+induce.  A panel's error estimate sees only what its nodes see, so the
+starting panels end wherever the integrand can hold a narrower feature:
+at the u-law's own sd edges, which `beta_expect` adds (at large M,
+Beta(u_shape) lies within ~m/M of u = 1); where a column's event set
+changes with u, as there its masses have a kink (an event starts or stops
+holding in it) or a jump (E1, decided by x alone, makes a column all E1 or
+none), and an event that holds only between two Gauss nodes is missed
+outright, so every change of the event set, read on the s-probes of each
+u-probe column, is cut by the same routine in u; and at u = exp(-x/rho)
+for x = 16**k, k = -1..2, as the rates depend on x only through
+log(1 + x), whose knee lies within ~1/rho of u = 1 at high SNR.
 
 Each cut is bisected only as far as the tol needs.  A cut is left at the
 midpoint of its bracket, and a bracket of width w moves at most peak * w of
@@ -34,7 +38,7 @@ _CUT_SHARE * tol / (c * peak), with c the most cuts in one row, counted
 again as brackets split: the columns of a refinement level against
 Beta(s_shape), the event-set changes against Beta(u_shape).  As the
 u-weights integrate to 1, the s-cuts add at most _CUT_SHARE * tol to the
-summed error, and the starting edges at most as much again; the u-integral
+summed error, and the event-set cuts at most as much again; the u-integral
 is run at the remaining (1 - _CUT_SHARE) * tol.  A bracket that reaches
 adjacent floats first stops there.
 
@@ -73,6 +77,10 @@ _BISECT_LEVELS = 4   # halvings per classifier call; divides _BISECT_ITERS
 
 #: share of the tol spent on placing cuts; the u-integral gets the rest
 _CUT_SHARE = 1.0 / 100
+
+#: x of the starting u-edges exp(-x/rho) at the scale of the rates, which
+#: depend on x only through log(1 + x)
+_X_EDGES = 16.0 ** np.arange(-1.0, 3.0)
 
 
 def _s_probe_grid() -> np.ndarray:
@@ -207,8 +215,10 @@ def event_probabilities_quadrature(cfg: PairingConfig, a2: float, b2: float = 0.
     if not 1e-10 <= tol < math.inf:
         raise ValueError(f"tol must be finite and >= 1e-10, got {tol}")
     cut_tol = _CUT_SHARE * tol
-    # the 8 starting panels, split where a column's event set changes
-    cuts = np.append(np.arange(1, 8) / 8.0, _onsets(cfg, a2, b2, cut_tol))
+    # start where a column's event set changes and at the rates' x-scale;
+    # Gauss nodes would round onto u = 0, x = inf, in a subnormal panel
+    x_edges = np.exp(-_X_EDGES / cfg.rho)
+    cuts = np.append(_onsets(cfg, a2, b2, cut_tol), x_edges[x_edges > 1e-300])
     totals = beta_expect(
         cfg.u_shape, lambda u, _: _column_masses(u, cfg, a2, b2, cut_tol),
         cuts, tol=(1.0 - _CUT_SHARE) * tol)

@@ -70,12 +70,6 @@ def f_noma(z, x, y):
     return log2_1p(x) - log2_1p(np.where(redo, grown * (x / y), t))
 
 
-def f_noma_slope(z, x, y):
-    """Derivative of f^N at z: -x 2^z / (y - x + x 2^z)."""
-    p = np.exp2(z) * x
-    return -p / (y - x + p)
-
-
 def f_tdma(z, x, y):
     """Weak-user rate f^T(z) = (1 - z/R2*) R1* on the TDMA segment."""
     return (1.0 - z / log2_1p(y)) * log2_1p(x)

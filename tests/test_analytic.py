@@ -185,6 +185,10 @@ def _quadpack_p_eps4(cfg, a2):
 class TestBetaExpect:
     @pytest.mark.parametrize("a, b", [
         (1, 1), (10, 1), (6, 5),
+        # laws within ~4e-4 of t = 1 or t = 0, beyond every node of one
+        # panel over (0, 1) and of its halves: only the law's own sd edges,
+        # which beta_expect adds, let the integral see their mass
+        (10_000, 4), (4, 10_000),
         # the law of q = F(x) at (M, m) = (10000, 2500), where the density's
         # log normaliser, -betaln(a, b) ~ -5,600, loses ~4e-12 to rounding
         pytest.param(2500, 7501, marks=pytest.mark.xfail(
@@ -193,11 +197,11 @@ class TestBetaExpect:
     def test_moments_and_mass(self, a, b):
         # E[1] = 1, E[t] = a / (a + b), and the mass below top is the
         # regularised incomplete Beta function: witnesses of the density
-        # apart from both solvers that integrate against it
+        # and of the starting edges apart from both solvers that integrate
+        # against them.  No caller cuts: the law's own are beta_expect's
         mean = a / (a + b)
         sd = math.sqrt(mean * (1.0 - mean) / (a + b + 1))
-        cuts = mean + sd * np.array([-30.0, -10.0, -3.0, -1.0, 0.0, 1.0,
-                                     3.0, 10.0, 30.0])
+        cuts = np.array([])
         moments = beta_expect(
             (a, b), lambda t, _: np.stack((np.ones_like(t), t), axis=1), cuts)
         assert moments == pytest.approx([1.0, mean], abs=QUAD_TOL)
@@ -205,6 +209,17 @@ class TestBetaExpect:
         (mass,) = beta_expect((a, b), lambda t, _: np.ones((t.size, 1)),
                               cuts, top)
         assert mass == pytest.approx(betainc(a, b, top), abs=QUAD_TOL)
+
+    @pytest.mark.parametrize("p", [-0.5, -0.6])
+    def test_panel_whose_halves_are_as_far_off_as_the_whole(self, p):
+        # the integral of t^p, p < 0: the halves of the panel at t = 0 are
+        # off by 2^-(1+p) of the whole, more than the difference of the
+        # two estimates, so only the quarter margin on a panel's share of
+        # the tol keeps the sum within it (1.2-1.4 tol without it)
+        tol = 1e-5
+        (val,) = beta_expect((1, 1), lambda t, _: (t**p)[:, None],
+                             np.array([]), tol=tol)
+        assert val == pytest.approx(1.0 / (1.0 + p), rel=0.0, abs=tol)
 
 
 class TestEps4Closed:
@@ -442,21 +457,21 @@ def test_small_probabilities_keep_relative_accuracy(M, m, n, rho_db, a2):
 
 _QUAD_PINS = [
     (PairingConfig(6, 2, 5, 100.0), 0.2, 0.3, 1e-5,
-     ("0x1.fd94f86b66f88p-1", "0x1.358397e138c7ap-8",
-      "0x1.648bad59f75b5p-27", "0x1.76755387adb4fp-30")),
-    # within 1.4e-12 of refs.json and of the closed forms
+     ("0x1.fd94f86b66f8ap-1", "0x1.358397e138c79p-8",
+      "0x1.648bad59fc5c8p-27", "0x1.76755387adea1p-30")),
+    # within 1e-12 of refs.json and of the closed forms
     (PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25), 0.5, 1e-6,
-     ("0x1.05f266cc85f75p-4", "0x1.f59a8265934d4p-4",
-      "0x1.a07d24c7ea7d9p-1", "0x1.13e11d259f0e2p-13")),
+     ("0x1.05f266cc85f75p-4", "0x1.f59a8265934d3p-4",
+      "0x1.a07d24c7eb525p-1", "0x1.13e11d1850f82p-13")),
     (PairingConfig(20, 3, 17, 300.0), 0.1, 0.7, 1e-7,
-     ("0x1.b53dcfc8c683fp-177", "0x1.4de8633f104a6p-29",
-      "0x1.fff2de34d69cap-1", "0x1.a436c95ba2d40p-14")),
+     ("0x1.b53dcfc8c683fp-177", "0x1.4de8633f104b1p-29",
+      "0x1.fff2de34e0e39p-1", "0x1.a436c812c765ap-14")),
     (PairingConfig(10, 1, 10, RHO25), 0.3, 0.5, 1e-6,
      ("0x1.bcde5c61fc8c4p-1", "0x1.0c868e780dcfcp-3",
       "0x0.0p+0", "0x0.0p+0")),
     (PairingConfig(2000, 230, 250, 10.0), 0.4, 0.5, 1e-6,
-     ("0x1.6a6b0f9958b5fp-2", "0x1.f4b5c3fffacd2p-2",
-      "0x1.41be58cd58c0ap-3", "0x1.1d4e6b921a9e4p-122")),
+     ("0x1.6a6b0f992c946p-2", "0x1.f4b5c3ffffe8bp-2",
+      "0x1.41be58cd4f3f3p-3", "0x1.2d26f0cc270adp-123")),
 ]
 _QUAD_PIN_IDS = ["b2_0.3", "m4_n5_25dB", "b2_0.7_tol1e-7", "a2_0.3_m1_n10",
                  "M2000"]
@@ -546,10 +561,11 @@ class TestQuadratureOracle:
         assert 2**depth == width + 1 and depth >= 2
         assert levels[0] == 0
         assert all(c >= 1 for c in np.diff(levels + [len(rest)]) - 1)
-        # the event set changes at 3 u, so the 8 starting panels are 11,
+        # the event set changes at 3 u; with the u-law's 4 sd edges inside
+        # (0, 1) and the 4 x-scale edges they make 12 starting panels,
         # whose 8 nodes and 16 half nodes each make the only level
         assert {shape[:2] for shape in scan} == {(3, width)}
-        assert [rest[i][0] for i in levels] == [264]
+        assert [rest[i][0] for i in levels] == [288]
         # bisected only as far as the tol needs, not onto adjacent floats
         # (64 calls)
         assert len(shapes) <= 20
@@ -649,20 +665,34 @@ class TestQuadratureOracle:
 
     @pytest.mark.parametrize("m, n", [(1, 2), (4, 20)])
     def test_sum_check_or_closed_forms_at_huge_population(self, m, n):
-        # at M = 100000 the u-law lies within ~m/M of u = 1, inside the
-        # oracle's last starting panel, whose nodes miss it: the masses sum
-        # to ~1e-50.  The sum check must stop that, and an oracle that
-        # does find the mass agrees with the closed forms
+        # at M = 100000 the u-law lies within ~m/M of u = 1: the starting
+        # panels end at its own sd edges, so the oracle finds its mass and
+        # agrees with the closed forms; with eight fixed starting panels the
+        # masses summed to 0.87 and 0.15, and the sum check raised
         cfg = PairingConfig(100_000, m, n, RHO25)
         a2, tol = 1.0 / math.sqrt(RHO25), 1e-6
         closed = event_probabilities_closed(cfg, a2)
-        try:
-            quad = event_probabilities_quadrature(cfg, a2, tol=tol)
-        except ConvergenceError as exc:
-            assert "event masses sum to" in str(exc)
+        quad = event_probabilities_quadrature(cfg, a2, tol=tol)
+        assert quad.as_tuple() == pytest.approx(closed.as_tuple(), abs=tol)
+
+    @pytest.mark.parametrize("excess", [5.0, 20.0])
+    def test_sum_check_window_is_ten_tol(self, monkeypatch, excess):
+        # masses that sum to 1 + excess * tol, as an integral whose nodes
+        # miss part of the u-law leaves them: returned within the 10 * tol
+        # window, ConvergenceError past it
+        tol = 1e-6
+        beta_expect = quadrature.beta_expect
+        monkeypatch.setattr(quadrature, "beta_expect",
+                            lambda *args, **kwargs: (1.0 + excess * tol)
+                            * beta_expect(*args, **kwargs))
+        cfg, a2 = PairingConfig(10, 4, 5, RHO25), 1.0 / math.sqrt(RHO25)
+        if excess > 10.0:
+            with pytest.raises(ConvergenceError, match="event masses sum"):
+                event_probabilities_quadrature(cfg, a2, tol=tol)
         else:
-            assert quad.as_tuple() == pytest.approx(closed.as_tuple(),
-                                                    abs=tol)
+            probs = event_probabilities_quadrature(cfg, a2, tol=tol)
+            assert math.fsum(probs.as_tuple()) == pytest.approx(
+                1.0 + excess * tol, rel=0.0, abs=tol)
 
     def test_tolerance_validation(self):
         cfg = PairingConfig(6, 2, 5, 100.0)
@@ -672,8 +702,8 @@ class TestQuadratureOracle:
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         # the budget it shares with the P(E4) integral runs out during
-        # refinement, not at the start: this solve needs 4 levels
-        monkeypatch.setattr(analytic, "_QUAD_LEVELS", 3)
+        # refinement, not at the start: this solve needs 3 levels
+        monkeypatch.setattr(analytic, "_QUAD_LEVELS", 2)
         cfg = PairingConfig(10, 2, 7, RHO25)
         with pytest.raises(ConvergenceError, match="residual error estimate"):
             event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25),
@@ -721,6 +751,23 @@ class TestQuadratureOracle:
         # event-set edges
         (20_000, 1, 2, 25.0, None, 1e-6),
         (1_000_000, 1, 2, 25.0, None, 1e-6),
+        # the u-law within ~m/M of u = 1: ConvergenceError without its own
+        # sd edges as starting edges
+        (100_000, 1, 2, 25.0, None, 1e-6),
+        (100_000, 4, 20, 25.0, None, 1e-6),
+        # P(E4) = 1.43e-5 for 9.73e-5, at exit 0, with eight fixed panels
+        # in place of the u-law's sd edges
+        (48, 1, 30, 48.23, 0.0038774638699958118, 1e-6),
+        # mass at x = O(1), within ~1e-5 of u = 1: 2.5e-6 and 4.1e-6 off
+        # without the x-scale edges
+        (19, 1, 15, 55.59, 0.00166, 1e-6),
+        (7, 1, 7, 57.773739487652485, 0.0009476178180621937, 1e-6),
+        # the x-scale edge exp(-256/rho) is ~1e-322, a subnormal on which
+        # Gauss nodes round to u = 0, where x = inf
+        (11, 6, 7, -4.625, 0.1, 1e-6),
+        # the u-law's own sd edges lie within ~1e-16 of u = 1, where Gauss
+        # nodes round onto u = 1
+        (100_000_000, 1, 2, 25.0, None, 1e-6),
     ])
     def test_summed_error_within_tol_of_closed_forms(self, M, m, n, rho_db,
                                                       a2, tol):

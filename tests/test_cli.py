@@ -213,8 +213,10 @@ class TestEvents:
     ], ids=["M1000", "M10000"])
     def test_quadrature_sum_within_its_window_exits_0(
             self, M, m, n, rho_db, a2_mode, a2, tmp_path):
-        # the oracle's masses sum to 1 - 3.1e-8 and 1 - 1.1e-9 here: inside
-        # its own 10 * tol window, but not the closed forms' 1e-9
+        # narrow u-laws at a loose tol: the oracle's masses sum to 1 -
+        # 1.3e-10 and 1 - 1.3e-12 here (1 - 3.1e-8 and 1 - 1.1e-9 with eight
+        # fixed starting panels), and the command exits 0; the 10 * tol
+        # window itself is test_sum_check_window_is_ten_tol's
         out = tmp_path / "events.csv"
         rc = main(["events", "--M", str(M), "--m", str(m), "--n", str(n),
                    "--rho-db", str(rho_db), "--a2-mode", a2_mode,
@@ -450,9 +452,9 @@ class TestPublicApi:
 
     def test_quadrature_convergence_error_exits_3(self, monkeypatch, capsys):
         # the shared budget runs out during refinement, not at the start:
-        # this solve needs 4 levels
+        # this solve needs 3 levels
         from noma_tdma import analytic
-        monkeypatch.setattr(analytic, "_QUAD_LEVELS", 3)
+        monkeypatch.setattr(analytic, "_QUAD_LEVELS", 2)
         rc = main(["events", "--m", "2", "--n", "7", "--method",
                    "quadrature", "--quad-tol", "1e-9"])
         assert rc == EXIT_NO_CONVERGENCE
