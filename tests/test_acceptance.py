@@ -126,6 +126,7 @@ def test_criterion_8_sum_rate_event_adjudication():
             closed = p_eps4_closed(cfg, a2)
             oracle = event_probabilities_quadrature(cfg, a2, 0.5, 1e-6).p4
             worst = max(worst, abs(closed - oracle))
-    _report("criterion 8 (sum-rate event adjudication)", worst <= 1e-3,
+    # within the oracle's tol
+    _report("criterion 8 (sum-rate event adjudication)", worst <= 1e-6,
             f"worst |closed - quadrature| P(E4) = {worst:.1e}; the corrected "
             f"closed form stands")

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 from scipy.integrate import dblquad, quad
 from scipy.special import bdtrc, betainc, betaln
 from scipy.stats import beta as beta_dist
@@ -27,6 +27,7 @@ from noma_tdma.events import (
 )
 from noma_tdma.order_stats import PairingConfig, joint_pdf, marginal_cdf_n
 from noma_tdma.quadrature import event_probabilities_quadrature
+from test_agreement import event_points
 
 RHO25 = 10.0**2.5
 
@@ -139,19 +140,6 @@ class TestEps1Closed:
             1.0, abs=1e-12)
 
 
-@st.composite
-def _event_points(draw, max_M=40, max_db=40.0):
-    """(cfg, a2) with M <= max_M, 6.1 dB to max_db, and a2 = 1/sqrt(rho),
-    uniform on [0.01, 1/2] or the special split."""
-    M = draw(st.integers(2, max_M))
-    m = draw(st.integers(1, M - 1))
-    n = draw(st.integers(m + 1, M))
-    rho = 10.0**(draw(st.floats(6.1, max_db)) / 10.0)
-    a2 = draw(st.one_of(st.just(1.0 / math.sqrt(rho)), st.floats(0.01, 0.5),
-                        st.just(optimal_a2_special(rho))))
-    return PairingConfig(M, m, n, rho), a2
-
-
 def _quadpack_p_eps4(cfg, a2):
     """P(E4) by scipy's QUADPACK over the q = F(x) integrand of
     `p_eps4_closed`, one scalar node at a time.  Breakpoints a decade apart
@@ -230,13 +218,6 @@ class TestEps4Closed:
             warnings.simplefilter("error")
             assert p_eps4_closed(PairingConfig(10, 2, 7, RHO25), 0.5) == 0.0
 
-    def test_against_quadrature_oracle(self):
-        for (m, n) in [(1, 10), (2, 7), (5, 6)]:
-            cfg = PairingConfig(10, m, n, RHO25)
-            a2 = 1.0 / math.sqrt(RHO25)
-            oracle = event_probabilities_quadrature(cfg, a2, tol=1e-6).p4
-            assert p_eps4_closed(cfg, a2) == pytest.approx(oracle, abs=1e-3)
-
     @pytest.mark.parametrize("a2", [1e-20, 1e-100])
     def test_tiny_split_is_all_e4(self, a2):
         # E4 needs x < lo = sqrt(1 + w2) - 1, here 1e20 or 1e100, while x is
@@ -277,7 +258,7 @@ class TestEps4Closed:
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
-    @given(_event_points(max_M=1000, max_db=80.0))
+    @given(event_points(max_M=1000, max_db=80.0))
     def test_matches_quadpack(self, point):
         cfg, a2 = point
         assert p_eps4_closed(cfg, a2) == pytest.approx(
@@ -644,37 +625,6 @@ class TestQuadratureOracle:
             event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25),
                                            tol=1e-6)
 
-    def test_all_four_events_within_tol_of_closed_forms(self):
-        # a stop on the error summed over all panels alone can leave
-        # P(E3)/P(E4) 2e-6 off here
-        rho = 100.0
-        cfg = PairingConfig(10, 5, 6, rho)
-        a2 = 1.0 / math.sqrt(rho)
-        quad = event_probabilities_quadrature(cfg, a2, tol=1e-6)
-        closed = event_probabilities_closed(cfg, a2)
-        assert quad.as_tuple() == pytest.approx(closed.as_tuple(), abs=1e-6)
-
-    def test_large_population(self):
-        # the Beta(u_shape) normaliser underflows and w1 overflows a float at
-        # M = 2000; P(E2) and P(y > w2) are binomial CDFs there
-        cfg = PairingConfig(2000, 230, 250, 10.0)
-        probs = event_probabilities_quadrature(cfg, 0.4, tol=1e-6)
-        assert probs.p2 == pytest.approx(p_eps2_closed(cfg, 0.4), abs=1e-6)
-        assert probs.p1 + probs.p2 == pytest.approx(
-            strong_user_tail(cfg, 0.4), abs=1e-6)
-
-    @pytest.mark.parametrize("m, n", [(1, 2), (4, 20)])
-    def test_sum_check_or_closed_forms_at_huge_population(self, m, n):
-        # at M = 100000 the u-law lies within ~m/M of u = 1: the starting
-        # panels end at its own sd edges, so the oracle finds its mass and
-        # agrees with the closed forms; with eight fixed starting panels the
-        # masses summed to 0.87 and 0.15, and the sum check raised
-        cfg = PairingConfig(100_000, m, n, RHO25)
-        a2, tol = 1.0 / math.sqrt(RHO25), 1e-6
-        closed = event_probabilities_closed(cfg, a2)
-        quad = event_probabilities_quadrature(cfg, a2, tol=tol)
-        assert quad.as_tuple() == pytest.approx(closed.as_tuple(), abs=tol)
-
     @pytest.mark.parametrize("excess", [5.0, 20.0])
     def test_sum_check_window_is_ten_tol(self, monkeypatch, excess):
         # masses that sum to 1 + excess * tol, as an integral whose nodes
@@ -708,76 +658,6 @@ class TestQuadratureOracle:
         with pytest.raises(ConvergenceError, match="residual error estimate"):
             event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25),
                                            tol=1e-9)
-
-    @pytest.mark.parametrize("M, m, n, rho_db, a2, tol", [
-        (38, 26, 27, 39.2, 0.010971, 1e-6),
-        # the jump lies within 1e-4 of u = 1
-        (6, 1, 4, 28.04, 0.496617, 1e-6),
-        (10, 4, 5, 25.0, None, 1e-8),
-    ])
-    def test_e1_jump_within_tol(self, M, m, n, rho_db, a2, tol):
-        # the E1 mass of a u-column jumps from none to all of it where x
-        # crosses the E1 threshold; with the jump inside a panel, the panel's
-        # error estimate misses it and P(E1), P(E2) drift past tol
-        rho = 10.0**(rho_db / 10.0)
-        a2 = a2 or 1.0 / math.sqrt(rho)
-        cfg = PairingConfig(M, m, n, rho)
-        quad = event_probabilities_quadrature(cfg, a2, tol=tol)
-        closed = event_probabilities_closed(cfg, a2)
-        assert quad.p1 == pytest.approx(closed.p1, abs=tol)
-        assert quad.p2 == pytest.approx(closed.p2, abs=tol)
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(_event_points())
-    def test_all_four_events_within_tol_of_closed_forms_anywhere(self, point):
-        # summed over the four events: P(E3) and P(E4) too, which move with
-        # the event bands the probe grids can miss
-        cfg, a2 = point
-        quad = event_probabilities_quadrature(cfg, a2, tol=1e-6)
-        closed = event_probabilities_closed(cfg, a2)
-        assert math.fsum(abs(q - c) for q, c in zip(
-            quad.as_tuple(), closed.as_tuple())) <= 1e-6
-
-    @pytest.mark.parametrize("M, m, n, rho_db, a2, tol", [
-        # the quad-grid benchmark's fault: an E3 sliver inside one bracket
-        (10, 1, 10, 20.0, None, 1e-6),
-        # 1.6e-4 off with the first label change of a bracket cut alone
-        (20, 1, 14, 20.0, None, 1e-8),
-        # E4 holds only for u > 0.99886, above the top node of its panel
-        (10, 1, 4, 58.81, 0.00115, 1e-6),
-        # 5.3e-3 off, at exit 0, with the E1 jump the only starting edge
-        (27, 1, 10, 10.6, 0.295, 8.3e-8),
-        # the u-law within ~1e-4 of u = 1: ConvergenceError without the
-        # event-set edges
-        (20_000, 1, 2, 25.0, None, 1e-6),
-        (1_000_000, 1, 2, 25.0, None, 1e-6),
-        # the u-law within ~m/M of u = 1: ConvergenceError without its own
-        # sd edges as starting edges
-        (100_000, 1, 2, 25.0, None, 1e-6),
-        (100_000, 4, 20, 25.0, None, 1e-6),
-        # P(E4) = 1.43e-5 for 9.73e-5, at exit 0, with eight fixed panels
-        # in place of the u-law's sd edges
-        (48, 1, 30, 48.23, 0.0038774638699958118, 1e-6),
-        # mass at x = O(1), within ~1e-5 of u = 1: 2.5e-6 and 4.1e-6 off
-        # without the x-scale edges
-        (19, 1, 15, 55.59, 0.00166, 1e-6),
-        (7, 1, 7, 57.773739487652485, 0.0009476178180621937, 1e-6),
-        # the x-scale edge exp(-256/rho) is ~1e-322, a subnormal on which
-        # Gauss nodes round to u = 0, where x = inf
-        (11, 6, 7, -4.625, 0.1, 1e-6),
-        # the u-law's own sd edges lie within ~1e-16 of u = 1, where Gauss
-        # nodes round onto u = 1
-        (100_000_000, 1, 2, 25.0, None, 1e-6),
-    ])
-    def test_summed_error_within_tol_of_closed_forms(self, M, m, n, rho_db,
-                                                      a2, tol):
-        rho = 10.0**(rho_db / 10.0)
-        a2 = a2 or 1.0 / math.sqrt(rho)
-        cfg = PairingConfig(M, m, n, rho)
-        quad = event_probabilities_quadrature(cfg, a2, tol=tol)
-        closed = event_probabilities_closed(cfg, a2)
-        assert math.fsum(abs(q - c) for q, c in zip(
-            quad.as_tuple(), closed.as_tuple())) <= tol
 
     def test_classifier_calls_on_the_quad_grid_points(self, monkeypatch):
         # the five points of the quad-grid benchmark at tol 1e-6: each
