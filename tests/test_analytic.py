@@ -625,6 +625,18 @@ class TestQuadratureOracle:
             event_probabilities_quadrature(cfg, 1.0 / math.sqrt(RHO25),
                                            tol=1e-6)
 
+    @pytest.mark.parametrize("m, n", [(1, 2), (4, 20)])
+    def test_sum_check_or_closed_forms_at_huge_population(self, m, n):
+        # at M = 100000 the u-law lies within ~m/M of u = 1: the starting
+        # panels end at its own sd edges, so the oracle finds its mass and
+        # agrees with the closed forms; with eight fixed starting panels the
+        # masses summed to 0.87 and 0.15, and the sum check raised
+        cfg = PairingConfig(100_000, m, n, RHO25)
+        a2, tol = 1.0 / math.sqrt(RHO25), 1e-6
+        closed = event_probabilities_closed(cfg, a2)
+        quad = event_probabilities_quadrature(cfg, a2, tol=tol)
+        assert quad.as_tuple() == pytest.approx(closed.as_tuple(), abs=tol)
+
     @pytest.mark.parametrize("excess", [5.0, 20.0])
     def test_sum_check_window_is_ten_tol(self, monkeypatch, excess):
         # masses that sum to 1 + excess * tol, as an integral whose nodes
